@@ -8,7 +8,7 @@
 //
 // Packages are directory patterns relative to the module root ("./...",
 // "./internal/engine", "internal/autopilot/..."); the default is the whole
-// module. Note the module is always parsed in full — cross-package rules
+// module. Note the module is always loaded in full — cross-package rules
 // like atomic-discipline need the whole tree — and the patterns only select
 // which packages' findings are reported.
 //
@@ -21,8 +21,9 @@
 //
 // With -bench-json, the run additionally executes the full analyzer set
 // twice — once sequentially (timing each analyzer) and once parallel over a
-// fresh parse — records both walls plus the interprocedural fixpoint
-// iteration counts, and verifies the two runs' findings are byte-identical.
+// fresh load — records the load wall (parse, go list -export, type-check),
+// both run walls and the interprocedural fixpoint iteration counts, and
+// verifies the two runs' findings are byte-identical.
 //
 // Exit status: 0 no findings, 1 findings, 2 usage or load error.
 package main
@@ -100,11 +101,13 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "conflint: %v\n", err)
 		return 2
 	}
+	loadStart := time.Now()
 	m, err := lint.LoadModule(root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "conflint: %v\n", err)
 		return 2
 	}
+	loadWall := time.Since(loadStart)
 
 	var findings []lint.Finding
 	var bench *benchStats
@@ -114,6 +117,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "conflint: %v\n", err)
 			return 2
 		}
+		bench.loadWall = loadWall
 	} else {
 		findings = lint.RunParallel(m, analyzers, *parallel)
 	}
@@ -280,6 +284,7 @@ func runFix(root string, m *lint.Module, analyzers []*lint.Analyzer, findings []
 
 // benchStats is the extra instrumentation a -bench-json run records.
 type benchStats struct {
+	loadWall  time.Duration // parse, go list -export and type-check
 	seqWall   time.Duration
 	parWall   time.Duration
 	fixWall   time.Duration
@@ -432,6 +437,7 @@ func writeBench(path string, m *lint.Module, analyzers []*lint.Analyzer, fs []li
 		if bench.parWall > 0 {
 			speedup = float64(bench.seqWall) / float64(bench.parWall)
 		}
+		fmt.Fprintf(&b, "  \"load_ms\": %.3f,\n", ms(bench.loadWall))
 		fmt.Fprintf(&b, "  \"wall_ms\": {\"sequential\": %.3f, \"parallel\": %.3f, \"speedup\": %.2f},\n",
 			ms(bench.seqWall), ms(bench.parWall), speedup)
 		fmt.Fprintf(&b, "  \"findings_identical\": %v,\n", bench.identical)

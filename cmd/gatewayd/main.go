@@ -15,6 +15,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -74,7 +75,7 @@ func (ov overrides) apply(cfg *gateway.Config) error {
 	return cfg.Normalize()
 }
 
-func run(configPath, addr, auditPath string, drainTimeout time.Duration, ov overrides) error {
+func run(configPath, addr, auditPath string, drainTimeout time.Duration, ov overrides) (err error) {
 	cfg, err := gateway.LoadConfig(configPath)
 	if err != nil {
 		return err
@@ -84,11 +85,12 @@ func run(configPath, addr, auditPath string, drainTimeout time.Duration, ov over
 	}
 	opts := gateway.Options{Config: cfg}
 	if auditPath != "" {
-		f, err := os.OpenFile(auditPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
+		f, openErr := os.OpenFile(auditPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if openErr != nil {
+			return openErr
 		}
-		defer f.Close()
+		// A failed close can lose buffered audit records: report it.
+		defer func() { err = errors.Join(err, f.Close()) }()
 		opts.AuditSink = f
 	}
 

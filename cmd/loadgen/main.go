@@ -19,6 +19,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -103,7 +104,7 @@ func parseTenants(s string) ([]gateway.FleetTenant, error) {
 }
 
 func run(url, tenantsFlag string, selfhost bool, configPath string, scale float64, tuning bool, shards int,
-	sessions, queries, workers int, seed int64, syncMode bool, outFile string, goalReport bool, auditDir string) error {
+	sessions, queries, workers int, seed int64, syncMode bool, outFile string, goalReport bool, auditDir string) (runErr error) {
 	var (
 		g         *gateway.Gateway
 		fleetTen  []gateway.FleetTenant
@@ -154,7 +155,7 @@ func run(url, tenantsFlag string, selfhost bool, configPath string, scale float6
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
 			if err := srv.Shutdown(ctx); err != nil {
-				fmt.Fprintln(os.Stderr, "loadgen: listener shutdown:", err)
+				runErr = errors.Join(runErr, fmt.Errorf("listener shutdown: %w", err))
 			}
 		}()
 		url = "http://" + ln.Addr().String()

@@ -288,13 +288,6 @@ func (e *Engine) ApplyConfig(c conf.Configuration) (BuildReport, error) {
 	return rep, nil
 }
 
-// BaseBytes returns the full-scale size of the base tables.
-func (e *Engine) BaseBytes() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.baseBytes()
-}
-
 func (e *Engine) baseBytes() int64 {
 	var b int64
 	for _, h := range e.heaps {

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"fmt"
+	"runtime/metrics"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/conf"
@@ -82,6 +85,11 @@ func configsUnderTest(e *Engine) []conf.Configuration {
 // configuration must produce identical results for every query, and those
 // results must match an independent naive evaluator.
 func TestPlanEquivalence(t *testing.T) {
+	stop := watchLiveHeap(planEquivalenceHeapBound)
+	defer func() {
+		peak := stop()
+		t.Logf("peak live heap %d MB (bound %d MB)", peak>>20, planEquivalenceHeapBound>>20)
+	}()
 	e := testNREF(t, SystemA())
 	for qi, sqlText := range testQueries {
 		q, err := e.AnalyzeSQL(sqlText)
@@ -103,6 +111,45 @@ func TestPlanEquivalence(t *testing.T) {
 					qi, cfg.Name, len(res.Rows), len(want), p.Explain())
 			}
 		}
+	}
+}
+
+// planEquivalenceHeapBound caps TestPlanEquivalence's live heap. The
+// engine and the streaming oracle need well under 100 MB at test scale;
+// an oracle that materialises q7's join needs gigabytes.
+const planEquivalenceHeapBound = 512 << 20
+
+// watchLiveHeap samples the live heap (runtime/metrics
+// /gc/heap/live:bytes, the heap marked live by the latest GC) until the
+// returned stop is called, which reports the peak. A sample above limit
+// panics at once: a test that fails loudly beats one the OOM killer ends.
+func watchLiveHeap(limit uint64) (stop func() uint64) {
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	done := make(chan struct{})
+	peak := make(chan uint64)
+	go func() {
+		var max uint64
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			metrics.Read(sample)
+			if v := sample[0].Value.Uint64(); v > max {
+				max = v
+				if max > limit {
+					panic(fmt.Sprintf("live heap %d MB exceeds the %d MB bound", max>>20, limit>>20))
+				}
+			}
+			select {
+			case <-done:
+				peak <- max
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	return func() uint64 {
+		close(done)
+		return <-peak
 	}
 }
 

@@ -9,9 +9,12 @@ import (
 )
 
 // naiveEval is an independent, obviously-correct query evaluator used as
-// the ground truth for plan-equivalence tests: fold the FROM list left to
-// right, applying every predicate as soon as its tables are bound, then
-// group and aggregate. It shares no code with the optimizer or executor.
+// the ground truth for plan-equivalence tests: enumerate the FROM list's
+// combinations depth-first, left to right, applying every predicate as
+// soon as its tables are bound, and fold each complete row straight into
+// its group (or the projection). Only one joined row exists at a time,
+// so memory stays bounded by the tables and the result, never by the
+// join's size. It shares no code with the optimizer or executor.
 func naiveEval(e *Engine, q *sql.Query) []val.Row {
 	layout := layoutOf(q)
 
@@ -41,52 +44,58 @@ func naiveEval(e *Engine, q *sql.Query) []val.Row {
 		sets[i] = set
 	}
 
-	// Fold tables.
-	var bound []bool = make([]bool, len(q.Tables))
-	cur := []val.Row{make(val.Row, layout.width)}
+	// Each table's rows, pre-filtered on its local predicates so the
+	// enumeration below only checks join predicates.
+	local := make([][]val.Row, len(q.Tables))
 	for t := range q.Tables {
-		var next []val.Row
-		var tRows []val.Row
 		e.Heap(q.Tables[t].Table.Name).Scan(nil, func(_ storage.RowID, r val.Row) bool {
-			tRows = append(tRows, r)
+			if naiveLocalPasses(q, r, t, sets) {
+				local[t] = append(local[t], r)
+			}
 			return true
 		})
-		// Pre-filter the new table's rows on its local predicates so the
-		// nested loop below only checks join predicates.
-		var local []val.Row
-		for _, r := range tRows {
-			if naiveLocalPasses(q, r, t, sets) {
-				local = append(local, r)
-			}
+	}
+	// boundAt[t] marks the tables already bound when table t joins.
+	boundAt := make([][]bool, len(q.Tables))
+	for t := range boundAt {
+		boundAt[t] = make([]bool, len(q.Tables))
+		for u := 0; u < t; u++ {
+			boundAt[t][u] = true
 		}
-		for _, acc := range cur {
-			for _, r := range local {
-				if !naiveJoinPasses(q, layout, acc, r, bound, t) {
-					continue
-				}
-				merged := acc.Clone()
-				copy(merged[layout.base[t]:], r)
-				next = append(next, merged)
-			}
+	}
+	// enumerate binds table t's rows into acc, one at a time, and emits
+	// every complete row.
+	acc := make(val.Row, layout.width)
+	var enumerate func(t int, emit func(val.Row))
+	enumerate = func(t int, emit func(val.Row)) {
+		if t == len(q.Tables) {
+			emit(acc)
+			return
 		}
-		cur = next
-		bound[t] = true
+		for _, r := range local[t] {
+			if !naiveJoinPasses(q, layout, acc, r, boundAt[t], t) {
+				continue
+			}
+			copy(acc[layout.base[t]:], r)
+			enumerate(t+1, emit)
+		}
 	}
 
-	// Group and aggregate (or project).
+	// Project.
 	if len(q.GroupBy) == 0 && len(q.Aggs) == 0 {
 		var out []val.Row
-		for _, r := range cur {
+		enumerate(0, func(r val.Row) {
 			row := make(val.Row, len(q.Out))
 			for i, o := range q.Out {
 				row[i] = r[layout.off(o.Col)]
 			}
 			out = append(out, row)
-		}
+		})
 		sortRows(out)
 		return out
 	}
 
+	// Group and aggregate.
 	type group struct {
 		vals     val.Row
 		counts   []int64
@@ -96,15 +105,15 @@ func naiveEval(e *Engine, q *sql.Query) []val.Row {
 		distinct []map[string]bool
 	}
 	groups := make(map[string]*group)
-	for _, r := range cur {
-		gv := make(val.Row, len(q.GroupBy))
+	gv := make(val.Row, len(q.GroupBy))
+	enumerate(0, func(r val.Row) {
 		for i, g := range q.GroupBy {
 			gv[i] = r[layout.off(g)]
 		}
 		k := gv.Key()
 		g := groups[k]
 		if g == nil {
-			g = &group{vals: gv,
+			g = &group{vals: gv.Clone(),
 				counts: make([]int64, len(q.Aggs)), sums: make([]float64, len(q.Aggs)),
 				mins: make([]val.Value, len(q.Aggs)), maxs: make([]val.Value, len(q.Aggs)),
 				distinct: make([]map[string]bool, len(q.Aggs))}
@@ -134,7 +143,7 @@ func naiveEval(e *Engine, q *sql.Query) []val.Row {
 				g.distinct[i][val.Row{v}.Key()] = true
 			}
 		}
-	}
+	})
 	var out []val.Row
 	for _, g := range groups {
 		row := make(val.Row, len(q.Out))

@@ -236,6 +236,11 @@ func (f *Fleet) Run() (FleetReport, error) {
 	wg.Wait()
 	// conflint:ignore wall-clock throughput measurement for the operator's bench artifact; never enters audit or goal ledgers
 	rep.WallSeconds = time.Since(start).Seconds()
+	// Release the pooled connections. One the transport dialed for a
+	// request that another connection then served never carried a
+	// request; the server counts it as new, not idle, and a graceful
+	// http.Server.Shutdown waits on it until its deadline.
+	f.opts.Client.CloseIdleConnections()
 
 	if rep.Requests > 0 {
 		rep.RejectionRate = float64(rep.Rejected) / float64(rep.Requests)

@@ -304,14 +304,6 @@ func (g *Gateway) WaitReady(ctx context.Context) error {
 // ServeHTTP makes the gateway a plain http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
 
-// Retunes reports goal-triggered transitions applied so far.
-func (g *Gateway) Retunes() int64 {
-	if tn := g.tunerP.Load(); tn != nil {
-		return tn.applied.Load()
-	}
-	return 0
-}
-
 // queryRequest is the /v1/query body.
 type queryRequest struct {
 	// Seq is the client-assigned sequence number threaded into the audit

@@ -7,6 +7,7 @@ package gateway
 import (
 	"context"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -130,4 +131,49 @@ func TestShutdownBeforeLoadCompletes(t *testing.T) {
 		t.Error("gateway reports ready after a pre-load shutdown")
 	}
 	g.pumpWG.Wait() // no pumps may have started; this must not hang
+}
+
+// idleCloseRecorder is a transport that records whether its client
+// released the idle connection pool.
+type idleCloseRecorder struct {
+	http.RoundTripper
+	closed atomic.Bool
+}
+
+func (r *idleCloseRecorder) CloseIdleConnections() {
+	r.closed.Store(true)
+	if c, ok := r.RoundTripper.(interface{ CloseIdleConnections() }); ok {
+		c.CloseIdleConnections()
+	}
+}
+
+// TestFleetReleasesConnections: a finished fleet closes its client's
+// idle connections, so no never-used pooled connection holds the
+// listener's graceful shutdown until its deadline.
+func TestFleetReleasesConnections(t *testing.T) {
+	cfg := testConfig()
+	_, ts := newTestGateway(t, cfg)
+	var tenants []FleetTenant
+	for _, tc := range cfg.Tenants {
+		tenants = append(tenants, FleetTenant{Name: tc.Name, APIKey: tc.APIKey, Families: tc.Families})
+	}
+	rec := &idleCloseRecorder{RoundTripper: &http.Transport{}}
+	fleet, err := NewFleet(FleetOptions{
+		BaseURL: ts.URL, Client: &http.Client{Transport: rec}, Tenants: tenants,
+		Sessions: 6, QueriesPerSession: 1, Workers: 3, Seed: 5,
+	})
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	if _, err := fleet.Run(); err != nil {
+		t.Fatalf("fleet: %v", err)
+	}
+	if !rec.closed.Load() {
+		t.Fatal("fleet finished without closing its client's idle connections")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := ts.Config.Shutdown(ctx); err != nil {
+		t.Fatalf("listener shutdown after the fleet: %v", err)
+	}
 }

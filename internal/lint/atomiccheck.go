@@ -13,23 +13,21 @@
 //     atomic.AddInt64-style functions. Any other read or write of such a
 //     field is flagged, and the field's offset must be 8-byte aligned
 //     under 32-bit layout rules (the documented sync/atomic requirement;
-//     typed atomics embed align64 and are immune).
+//     typed atomics embed align64 and are immune). Offsets come from
+//     go/types' gc sizes for 386, which lay out align64 the way the
+//     compiler does.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
+	"strings"
 )
 
 var atomicMethodNames = map[string]bool{
 	"Load": true, "Store": true, "Add": true, "Swap": true,
 	"CompareAndSwap": true, "Or": true, "And": true,
-}
-
-// atomicTypedNames are the sync/atomic value types.
-var atomicTypedNames = map[string]bool{
-	"Int32": true, "Int64": true, "Uint32": true, "Uint64": true,
-	"Uintptr": true, "Bool": true, "Value": true, "Pointer": true,
 }
 
 // atomicFuncWidth maps sync/atomic function names to the bit width of the
@@ -58,7 +56,7 @@ func AtomicCheck() *Analyzer {
 
 // fieldKey identifies a struct field across a package.
 type fieldKey struct {
-	typ   string // NamedKey of the struct
+	typ   string // namedKey of the struct
 	field string
 }
 
@@ -99,7 +97,9 @@ func atomicSetsOf(m *Module) *atomicSets {
 					}
 					key := p.ImportPath + "." + ts.Name.Name
 					for _, fld := range st.Fields.List {
-						if !isAtomicTyped(f, fld.Type) {
+						// The sync/atomic value types (not pointers to them).
+						nt, ok := types.Unalias(p.Info.TypeOf(fld.Type)).(*types.Named)
+						if !ok || nt.Obj().Pkg() == nil || nt.Obj().Pkg().Path() != "sync/atomic" {
 							continue
 						}
 						for _, n := range fld.Names {
@@ -112,21 +112,16 @@ func atomicSetsOf(m *Module) *atomicSets {
 		// Raw fields accessed through sync/atomic functions.
 		for _, f := range p.Files {
 			for _, fn := range fileFuncs(f) {
-				fn := fn
 				ast.Inspect(fn.Body, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
 						return true
 					}
-					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok {
+					path, name := p.qualified(call.Fun)
+					if path != "sync/atomic" {
 						return true
 					}
-					base, ok := sel.X.(*ast.Ident)
-					if !ok || importPathOf(f, base.Name) != "sync/atomic" {
-						return true
-					}
-					width := atomicFuncWidth(sel.Sel.Name)
+					width := atomicFuncWidth(name)
 					if width == 0 || len(call.Args) == 0 {
 						return true
 					}
@@ -138,8 +133,7 @@ func atomicSetsOf(m *Module) *atomicSets {
 					if !ok {
 						return true
 					}
-					recv := m.TypeOf(p, f, fn, fieldSel.X)
-					if key := m.NamedKey(recv); key != "" {
+					if key := p.typeKey(fieldSel.X); key != "" {
 						s.raw[fieldKey{key, fieldSel.Sel.Name}] = width
 						s.sanctioned[fieldSel] = true
 					}
@@ -163,14 +157,12 @@ func checkAtomics(p *Package) []Finding {
 	// Pass 2: every selector use of a tracked field must be atomic.
 	for _, f := range p.Files {
 		for _, fn := range fileFuncs(f) {
-			fn := fn
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				sel, ok := n.(*ast.SelectorExpr)
 				if !ok {
 					return true
 				}
-				recv := m.TypeOf(p, f, fn, sel.X)
-				key := m.NamedKey(recv)
+				key := p.typeKey(sel.X)
 				if key == "" {
 					return true
 				}
@@ -208,23 +200,27 @@ func checkAtomics(p *Package) []Finding {
 		if width != 64 {
 			continue
 		}
-		st, td := m.StructOf(fk.typ)
-		if st == nil || td.pkg != p {
+		tn, _ := p.Types.Scope().Lookup(strings.TrimPrefix(fk.typ, p.ImportPath+".")).(*types.TypeName)
+		if tn == nil || p.ImportPath+"."+tn.Name() != fk.typ {
 			continue
 		}
-		off, known := fieldOffset32(m, td.file, st, fk.field)
-		if known && off%8 != 0 {
-			pos := fset.Position(st.Pos())
-			for _, fld := range st.Fields.List {
-				for _, n := range fld.Names {
-					if n.Name == fk.field {
-						pos = fset.Position(n.Pos())
-					}
-				}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		fields := make([]*types.Var, st.NumFields())
+		for i := range fields {
+			fields[i] = st.Field(i)
+		}
+		offs := sizes32.Offsetsof(fields)
+		for i, fld := range fields {
+			if fld.Name() != fk.field || offs[i]%8 == 0 {
+				continue
 			}
+			pos := fset.Position(fld.Pos())
 			out = append(out, Finding{
 				Rule: "atomic", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-				Message: fmt.Sprintf("64-bit atomic field %s.%s sits at 32-bit offset %d: sync/atomic requires 8-byte alignment on 32-bit platforms", shortKey(fk.typ), fk.field, off),
+				Message: fmt.Sprintf("64-bit atomic field %s.%s sits at 32-bit offset %d: sync/atomic requires 8-byte alignment on 32-bit platforms", shortKey(fk.typ), fk.field, offs[i]),
 				Hint:    "move the field to the front of the struct, pad to 8 bytes, or use atomic.Int64 (which embeds align64)",
 			})
 		}
@@ -232,16 +228,8 @@ func checkAtomics(p *Package) []Finding {
 	return out
 }
 
-// isAtomicTyped reports whether a field type is one of sync/atomic's
-// value types.
-func isAtomicTyped(f *File, t ast.Expr) bool {
-	sel, ok := t.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	base, ok := sel.X.(*ast.Ident)
-	return ok && importPathOf(f, base.Name) == "sync/atomic" && atomicTypedNames[sel.Sel.Name]
-}
+// sizes32 is the gc layout of a 32-bit platform.
+var sizes32 = types.SizesFor("gc", "386")
 
 // fileFuncs returns the file's function declarations with bodies.
 func fileFuncs(f *File) []*ast.FuncDecl {
@@ -261,76 +249,4 @@ func shortKey(key string) string {
 		}
 	}
 	return key
-}
-
-// size32 returns (size, alignment) of a type under 32-bit layout rules,
-// or ok=false when the type cannot be sized syntactically.
-func size32(m *Module, f *File, t ast.Expr) (size, align int, ok bool) {
-	switch e := t.(type) {
-	case *ast.Ident:
-		switch e.Name {
-		case "bool", "int8", "uint8", "byte":
-			return 1, 1, true
-		case "int16", "uint16":
-			return 2, 2, true
-		case "int32", "uint32", "int", "uint", "uintptr", "float32", "rune":
-			return 4, 4, true
-		case "int64", "uint64", "float64":
-			// 8 bytes but only 4-byte aligned on 32-bit: the trap this
-			// analyzer exists to catch.
-			return 8, 4, true
-		case "string":
-			return 8, 4, true
-		case "complex64":
-			return 8, 4, true
-		}
-		return 0, 0, false
-	case *ast.StarExpr, *ast.MapType, *ast.ChanType, *ast.FuncType:
-		return 4, 4, true
-	case *ast.ArrayType:
-		if e.Len == nil { // slice header
-			return 12, 4, true
-		}
-		return 0, 0, false
-	case *ast.InterfaceType:
-		return 8, 4, true
-	case *ast.SelectorExpr:
-		if base, ok2 := e.X.(*ast.Ident); ok2 && importPathOf(f, base.Name) == "sync/atomic" {
-			switch e.Sel.Name {
-			case "Int64", "Uint64":
-				return 8, 8, true // align64 padding makes these 8-aligned
-			case "Int32", "Uint32", "Bool":
-				return 4, 4, true
-			}
-		}
-		return 0, 0, false
-	}
-	return 0, 0, false
-}
-
-// fieldOffset32 computes a field's byte offset in a struct under 32-bit
-// layout. Unknown field types make the whole struct unsizeable (no
-// finding rather than a wrong one).
-func fieldOffset32(m *Module, f *File, st *ast.StructType, field string) (int, bool) {
-	off := 0
-	for _, fld := range st.Fields.List {
-		sz, al, ok := size32(m, f, fld.Type)
-		if !ok {
-			return 0, false
-		}
-		names := len(fld.Names)
-		if names == 0 {
-			names = 1
-		}
-		for i := 0; i < names; i++ {
-			if al > 0 && off%al != 0 {
-				off += al - off%al
-			}
-			if i < len(fld.Names) && fld.Names[i].Name == field {
-				return off, true
-			}
-			off += sz
-		}
-	}
-	return 0, false
 }

@@ -1,23 +1,33 @@
 // The module-wide call graph: the substrate for the interprocedural
-// analyzers (lockorder, goleak, hotalloc). It is built from go/ast plus
-// the lightweight resolver — no go/types — so edges exist only where the
-// callee is statically resolvable inside the module: direct calls to
-// package functions, cross-package calls through an import, and method
-// calls whose receiver's named type the resolver can pin down. Dynamic
-// calls (function values, interface methods) produce no edge; every
-// analyzer built on the graph treats a missing edge conservatively.
+// analyzers (lockorder, goleak, hotalloc, epoch, dettaint, shutdownpath,
+// pure, readpath). Edges come from go/types: every call whose target is
+// statically known and declared in the module — package functions,
+// cross-package calls, generic instantiations, and methods selected on a
+// concrete receiver, promoted methods and method calls on a loaded
+// atomic.Pointer's result included. Dynamic calls (function values,
+// interface methods) produce no edge; every analyzer built on the graph
+// treats a missing edge conservatively.
 //
-// Nodes are keyed the same way as the resolver's symbol tables:
-// "importPath.Func" for functions, "importPath.Type.Method" for methods.
-// Node and edge order is deterministic (keys sorted, call sites in source
-// order), so every downstream finding and witness path is stable.
+// Nodes are keyed "importPath.Func" for functions and
+// "importPath.Type.Method" for methods. Node and edge order is
+// deterministic (keys sorted, call sites in source order), so every
+// downstream finding and witness path is stable.
 package lint
 
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 )
+
+// funcDecl is one declared function with the package and file that hold
+// it.
+type funcDecl struct {
+	pkg  *Package
+	file *File
+	decl *ast.FuncDecl
+}
 
 // CallSite is one statically resolved call from one function to another
 // module function.
@@ -61,24 +71,26 @@ func (m *Module) Graph() *CallGraph {
 		return m.graph
 	}
 	g := &CallGraph{nodes: make(map[string]*CGNode)}
-	idx := m.buildIndex()
 	// Every declared function is a node, even if no call resolves to it.
-	for key, fd := range idx.funcs {
-		g.nodes[key] = &CGNode{Key: key, Fn: fd}
-	}
-	for key, fd := range idx.methods {
-		g.nodes[key] = &CGNode{Key: key, Fn: fd}
-	}
+	// A key declared twice (init) keeps its last declaration.
 	for _, p := range m.Pkgs {
 		for _, f := range p.Files {
-			for _, fn := range fileFuncs(f) {
-				key := funcKey(p, fn)
-				node := g.nodes[key]
-				if node == nil || fn.Body == nil {
+			for _, d := range f.AST.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok {
 					continue
 				}
-				node.Out = m.resolveCalls(p, f, fn, key)
-				g.edges += len(node.Out)
+				key := funcKey(p, fn)
+				node := g.nodes[key]
+				if node == nil {
+					node = &CGNode{Key: key}
+					g.nodes[key] = node
+				}
+				node.Fn = &funcDecl{pkg: p, file: f, decl: fn}
+				if fn.Body != nil {
+					node.Out = m.resolveCalls(p, fn, key)
+					g.edges += len(node.Out)
+				}
 			}
 		}
 	}
@@ -90,14 +102,9 @@ func (m *Module) Graph() *CallGraph {
 	return g
 }
 
-// funcKey returns the graph/index key of a declared function.
+// funcKey returns the graph key of a declared function.
 func funcKey(p *Package, fn *ast.FuncDecl) string {
-	if fn.Recv != nil && len(fn.Recv.List) > 0 {
-		if rn := baseTypeName(fn.Recv.List[0].Type); rn != "" {
-			return p.ImportPath + "." + rn + "." + fn.Name.Name
-		}
-	}
-	return p.ImportPath + "." + fn.Name.Name
+	return funcObjKey(p.Info.Defs[fn.Name].(*types.Func))
 }
 
 // resolveCalls finds every statically resolvable call in a function body,
@@ -105,7 +112,7 @@ func funcKey(p *Package, fn *ast.FuncDecl) string {
 // declaration: the literal runs with the declaration's lock and lifecycle
 // context unless spawned, and spawned literals are additionally analyzed
 // at their go sites).
-func (m *Module) resolveCalls(p *Package, f *File, fn *ast.FuncDecl, key string) []*CallSite {
+func (m *Module) resolveCalls(p *Package, fn *ast.FuncDecl, key string) []*CallSite {
 	// Mark calls that are the operand of go/defer statements.
 	goCalls := make(map[*ast.CallExpr]bool)
 	deferCalls := make(map[*ast.CallExpr]bool)
@@ -124,7 +131,7 @@ func (m *Module) resolveCalls(p *Package, f *File, fn *ast.FuncDecl, key string)
 		if !ok {
 			return true
 		}
-		callee := m.calleeKey(p, f, fn, call)
+		callee := m.calleeKey(p, call)
 		if callee == "" {
 			return true
 		}
@@ -139,35 +146,13 @@ func (m *Module) resolveCalls(p *Package, f *File, fn *ast.FuncDecl, key string)
 }
 
 // calleeKey resolves a call expression to a module function key, or ""
-// for dynamic, stdlib and otherwise unresolvable targets.
-func (m *Module) calleeKey(p *Package, f *File, fn *ast.FuncDecl, call *ast.CallExpr) string {
-	idx := m.buildIndex()
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		key := p.ImportPath + "." + fun.Name
-		if _, ok := idx.funcs[key]; ok {
-			return key
-		}
-	case *ast.SelectorExpr:
-		if base, ok := fun.X.(*ast.Ident); ok {
-			if imp := importPathOf(f, base.Name); imp != "" {
-				key := imp + "." + fun.Sel.Name
-				if _, ok := idx.funcs[key]; ok {
-					return key
-				}
-				return "" // stdlib or external function
-			}
-		}
-		r := &resolver{m: m, pkg: p, file: f, fn: fn}
-		recv := r.typeOf(fun.X)
-		if key := m.NamedKey(recv); key != "" {
-			mkey := key + "." + fun.Sel.Name
-			if _, ok := idx.methods[mkey]; ok {
-				return mkey
-			}
-		}
+// for dynamic, interface, stdlib and otherwise unresolvable targets.
+func (m *Module) calleeKey(p *Package, call *ast.CallExpr) string {
+	fn := p.callee(call)
+	if fn == nil || !m.inModule(fn) || isInterfaceMethod(fn) {
+		return ""
 	}
-	return ""
+	return funcObjKey(fn)
 }
 
 // shortKey trims the module path off a symbol key for human-readable

@@ -17,6 +17,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"strings"
 )
 
 // determinismScope lists the package *names* under the rule. Scoping by
@@ -71,33 +72,29 @@ func checkDeterminismFile(p *Package, f *File) []Finding {
 		case *ast.FuncDecl:
 			fn = n
 		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				if base, ok := sel.X.(*ast.Ident); ok {
-					switch importPathOf(f, base.Name) {
-					case "time":
-						switch sel.Sel.Name {
-						case "Now", "Since", "Until", "Tick":
-							pos := fset.Position(n.Pos())
-							out = append(out, Finding{
-								Rule: "determinism", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-								Message: fmt.Sprintf("time.%s in package %s: wall-clock reads break byte-identical reports; use the simulated clock, or move this out of the report path", sel.Sel.Name, p.Name),
-								Hint:    "derive times from engine measures (simulated seconds); wall-clock observability needs a conflint:ignore with a reason",
-							})
-						}
-					case "math/rand", "math/rand/v2":
-						if bannedRandFunc(sel.Sel.Name) {
-							pos := fset.Position(n.Pos())
-							out = append(out, Finding{
-								Rule: "determinism", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-								Message: fmt.Sprintf("rand.%s uses the global math/rand source in package %s; draw from a seeded *rand.Rand instead", sel.Sel.Name, p.Name),
-								Hint:    "thread a rand.New(rand.NewSource(seed)) through the caller",
-							})
-						}
-					}
+			switch path, name := p.qualified(n.Fun); path {
+			case "time":
+				switch name {
+				case "Now", "Since", "Until", "Tick":
+					pos := fset.Position(n.Pos())
+					out = append(out, Finding{
+						Rule: "determinism", File: pos.Filename, Line: pos.Line, Col: pos.Column,
+						Message: fmt.Sprintf("time.%s in package %s: wall-clock reads break byte-identical reports; use the simulated clock, or move this out of the report path", name, p.Name),
+						Hint:    "derive times from engine measures (simulated seconds); wall-clock observability needs a conflint:ignore with a reason",
+					})
+				}
+			case "math/rand", "math/rand/v2":
+				if bannedRandFunc(name) {
+					pos := fset.Position(n.Pos())
+					out = append(out, Finding{
+						Rule: "determinism", File: pos.Filename, Line: pos.Line, Col: pos.Column,
+						Message: fmt.Sprintf("rand.%s uses the global math/rand source in package %s; draw from a seeded *rand.Rand instead", name, p.Name),
+						Hint:    "thread a rand.New(rand.NewSource(seed)) through the caller",
+					})
 				}
 			}
 		case *ast.RangeStmt:
-			out = append(out, checkMapRange(p, f, fn, n)...)
+			out = append(out, checkMapRange(p, fn, n)...)
 		}
 		return true
 	}
@@ -107,12 +104,12 @@ func checkDeterminismFile(p *Package, f *File) []Finding {
 
 // outputCall reports whether a call writes ordered output: the fmt print
 // family or a Write* method (strings.Builder, bytes.Buffer, io.Writer).
-func outputCall(f *File, call *ast.CallExpr) bool {
+func outputCall(p *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	if base, ok := sel.X.(*ast.Ident); ok && importPathOf(f, base.Name) == "fmt" {
+	if p.importedPath(sel.X) == "fmt" {
 		switch sel.Sel.Name {
 		case "Fprintf", "Fprintln", "Fprint", "Printf", "Println", "Print":
 			return true
@@ -127,20 +124,12 @@ func outputCall(f *File, call *ast.CallExpr) bool {
 }
 
 // sortCall reports whether a call is a sort (sort.* or slices.Sort*).
-func sortCall(f *File, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	base, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	switch importPathOf(f, base.Name) {
+func sortCall(p *Package, call *ast.CallExpr) bool {
+	switch path, name := p.qualified(call.Fun); path {
 	case "sort":
 		return true
 	case "slices":
-		return len(sel.Sel.Name) >= 4 && sel.Sel.Name[:4] == "Sort"
+		return strings.HasPrefix(name, "Sort")
 	}
 	return false
 }
@@ -149,20 +138,18 @@ func sortCall(f *File, call *ast.CallExpr) bool {
 // directly or collect into a slice that the enclosing function never
 // sorts. The sanctioned pattern — collect keys, sort, then iterate the
 // sorted slice — passes both branches.
-func checkMapRange(p *Package, f *File, fn *ast.FuncDecl, rng *ast.RangeStmt) []Finding {
-	m := p.Mod
-	t := m.TypeOf(p, f, fn, rng.X)
-	if t.zero() || !m.IsMap(t) {
+func checkMapRange(p *Package, fn *ast.FuncDecl, rng *ast.RangeStmt) []Finding {
+	if !p.isMap(rng.X) {
 		return nil
 	}
-	fset := m.Fset
+	fset := p.Mod.Fset
 
 	// Direct output inside the loop body is always order-dependent.
 	var outCall *ast.CallExpr
 	appends := false
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if outCall == nil && outputCall(f, call) {
+			if outCall == nil && outputCall(p, call) {
 				outCall = call
 			}
 			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "append" {
@@ -185,7 +172,7 @@ func checkMapRange(p *Package, f *File, fn *ast.FuncDecl, rng *ast.RangeStmt) []
 	if appends && fn != nil && fn.Body != nil {
 		sorted := false
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && call.Pos() > rng.End() && sortCall(f, call) {
+			if call, ok := n.(*ast.CallExpr); ok && call.Pos() > rng.End() && sortCall(p, call) {
 				sorted = true
 			}
 			return true

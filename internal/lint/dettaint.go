@@ -94,29 +94,21 @@ type sinkHop struct {
 }
 
 // sourceCall classifies a call as a nondeterminism source ("" if not).
-func sourceCall(f *File, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	base, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	switch importPathOf(f, base.Name) {
+func sourceCall(p *Package, call *ast.CallExpr) string {
+	switch path, name := p.qualified(call.Fun); path {
 	case "time":
-		switch sel.Sel.Name {
+		switch name {
 		case "Now", "Since", "Until", "Tick":
-			return "time." + sel.Sel.Name
+			return "time." + name
 		}
 	case "math/rand", "math/rand/v2":
-		if bannedRandFunc(sel.Sel.Name) {
-			return "rand." + sel.Sel.Name
+		if bannedRandFunc(name) {
+			return "rand." + name
 		}
 	case "runtime":
-		switch sel.Sel.Name {
+		switch name {
 		case "GOMAXPROCS", "NumCPU":
-			return "runtime." + sel.Sel.Name
+			return "runtime." + name
 		}
 	}
 	return ""
@@ -262,7 +254,7 @@ func (a *dtAnalysis) scanFieldDeps() {
 			if !ok {
 				return true
 			}
-			tk := m.NamedKey(m.TypeOf(fd.pkg, fd.file, fd.decl, sel.X))
+			tk := fd.pkg.typeKey(sel.X)
 			if tk == "" {
 				return true
 			}
@@ -331,7 +323,6 @@ func (dc *dtCtx) walkStmts(list []ast.Stmt) {
 }
 
 func (dc *dtCtx) walkStmt(s ast.Stmt) {
-	m := dc.a.m
 	switch s := s.(type) {
 	case *ast.AssignStmt:
 		n := len(s.Lhs)
@@ -354,9 +345,15 @@ func (dc *dtCtx) walkStmt(s ast.Stmt) {
 		}
 	case *ast.ExprStmt:
 		call, ok := s.X.(*ast.CallExpr)
-		if ok && sortCall(dc.fd.file, call) && len(call.Args) > 0 {
-			// A sort sanitizes map-iteration-order taint on its target.
-			if id, ok := rootExprIdent(call.Args[0]); ok {
+		if ok && sortCall(dc.fd.pkg, call) && len(call.Args) > 0 {
+			// A sort sanitizes map-iteration-order taint on its target,
+			// seen through a conversion to a sort.Interface type
+			// (`sort.Sort(byValue(vcs))`).
+			target := call.Args[0]
+			if conv, ok := target.(*ast.CallExpr); ok && len(conv.Args) == 1 && dc.fd.pkg.Info.Types[conv.Fun].IsType() {
+				target = conv.Args[0]
+			}
+			if id, ok := rootExprIdent(target); ok {
 				if v, has := dc.env[id]; has && v.t != nil && v.t.src == mapOrderSrc {
 					v.t = nil
 					dc.env[id] = v
@@ -391,7 +388,7 @@ func (dc *dtCtx) walkStmt(s ast.Stmt) {
 		}
 	case *ast.RangeStmt:
 		v := dc.eval(s.X)
-		isMap := dc.a.m.IsMap(m.TypeOf(dc.fd.pkg, dc.fd.file, dc.fd.decl, s.X))
+		isMap := dc.fd.pkg.isMap(s.X)
 		// Range variables inherit the ranged value's taint.
 		for _, e := range []ast.Expr{s.Key, s.Value} {
 			if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
@@ -481,7 +478,7 @@ func (dc *dtCtx) assign(target ast.Expr, v dtVal, src ast.Expr) {
 		if v.t == nil {
 			return
 		}
-		tk := m.NamedKey(m.TypeOf(dc.fd.pkg, dc.fd.file, dc.fd.decl, t.X))
+		tk := dc.fd.pkg.typeKey(t.X)
 		if tk == "" {
 			return
 		}
@@ -570,7 +567,7 @@ func (dc *dtCtx) eval(e ast.Expr) dtVal {
 func (dc *dtCtx) evalSelector(sel *ast.SelectorExpr) dtVal {
 	m := dc.a.m
 	base := dc.eval(sel.X)
-	tk := m.NamedKey(m.TypeOf(dc.fd.pkg, dc.fd.file, dc.fd.decl, sel.X))
+	tk := dc.fd.pkg.typeKey(sel.X)
 	if tk == "" {
 		return base
 	}
@@ -593,7 +590,6 @@ func (dc *dtCtx) evalSelector(sel *ast.SelectorExpr) dtVal {
 
 func (dc *dtCtx) evalCall(call *ast.CallExpr) dtVal {
 	m := dc.a.m
-	f := dc.fd.file
 	// Builtins that never carry taint / always merge their args.
 	if id, ok := call.Fun.(*ast.Ident); ok {
 		switch id.Name {
@@ -611,7 +607,7 @@ func (dc *dtCtx) evalCall(call *ast.CallExpr) dtVal {
 		}
 	}
 	// Nondeterminism sources.
-	if src := sourceCall(f, call); src != "" {
+	if src := sourceCall(dc.fd.pkg, call); src != "" {
 		t := &taintVal{src: src, steps: []string{m.stepf(call.Pos(), "%s called in %s", src, m.shortKey(dc.key))}}
 		if dc.report != nil {
 			if root := dc.a.inClosure(dc.key); root != "" {
@@ -623,7 +619,7 @@ func (dc *dtCtx) evalCall(call *ast.CallExpr) dtVal {
 		return dtVal{t: t}
 	}
 	// Module callee with a summary.
-	if key := m.calleeKey(dc.fd.pkg, f, dc.fd.decl, call); key != "" {
+	if key := m.calleeKey(dc.fd.pkg, call); key != "" {
 		argVals := make([]dtVal, len(call.Args))
 		for i, a := range call.Args {
 			argVals[i] = dc.eval(a)

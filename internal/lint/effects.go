@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 	"sync"
@@ -162,7 +163,7 @@ func buildEffects(m *Module) *effectState {
 	}
 
 	// Read sessions: RLock intervals of mutexes that guard epoch fields.
-	guards := epochGuardClasses(m, es.sets)
+	guards := epochGuardClasses(es.sets)
 	if len(guards) > 0 {
 		for _, key := range g.Keys() {
 			node := g.Node(key)
@@ -247,23 +248,10 @@ func docHasToken(fn *ast.FuncDecl, tok string) bool {
 
 // epochGuardClasses derives the lock classes that guard epoch fields
 // from the fields' own conflint:guardedby annotations.
-func epochGuardClasses(m *Module, sets *epochSets) map[string]bool {
+func epochGuardClasses(sets *epochSets) map[string]bool {
 	out := make(map[string]bool)
-	for fk := range sets.guarded {
-		st, _ := m.StructOf(fk.typ)
-		if st == nil {
-			continue
-		}
-		for _, fld := range st.Fields.List {
-			for _, n := range fld.Names {
-				if n.Name != fk.field {
-					continue
-				}
-				if mu := guardAnnotation(fld); mu != "" {
-					out[fk.typ+"."+mu] = true
-				}
-			}
-		}
+	for fk, mu := range sets.guards {
+		out[fk.typ+"."+mu] = true
 	}
 	return out
 }
@@ -320,22 +308,13 @@ var stdlibEffects = map[string]bool{
 }
 
 // stdlibCallKey resolves a call to its stdlib table key ("" when the
-// call is module-internal or unresolvable).
-func stdlibCallKey(m *Module, fd *funcDecl, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+// call is module-internal or has no static target).
+func stdlibCallKey(m *Module, p *Package, call *ast.CallExpr) string {
+	fn := p.callee(call)
+	if fn == nil || m.inModule(fn) {
 		return ""
 	}
-	if base, ok := sel.X.(*ast.Ident); ok {
-		if imp := importPathOf(fd.file, base.Name); imp != "" {
-			return imp + "." + sel.Sel.Name
-		}
-	}
-	recv := m.TypeOf(fd.pkg, fd.file, fd.decl, sel.X)
-	if key := m.NamedKey(recv); key != "" && !strings.HasPrefix(key, m.Path+"/") && !strings.HasPrefix(key, m.Path+".") {
-		return key + "." + sel.Sel.Name
-	}
-	return ""
+	return funcObjKey(fn)
 }
 
 // rootRef is the outcome of classifying an expression's root: what the
@@ -364,14 +343,9 @@ func (es *effectState) classifyRoot(fd *funcDecl, e ast.Expr) rootRef {
 }
 
 func (es *effectState) classifyRootDepth(fd *funcDecl, e ast.Expr, depth int) rootRef {
-	m := es.m
 	// A package-qualified selector is a foreign global.
-	if sel, ok := unparen(e).(*ast.SelectorExpr); ok {
-		if base, ok := sel.X.(*ast.Ident); ok {
-			if imp := importPathOf(fd.file, base.Name); imp != "" {
-				return rootRef{kind: rootGlobal, sym: imp + "." + sel.Sel.Name}
-			}
-		}
+	if path, name := fd.pkg.qualified(unparen(e)); path != "" {
+		return rootRef{kind: rootGlobal, sym: path + "." + name}
 	}
 	id := rootIdent(unamp(e))
 	if id == nil {
@@ -406,7 +380,7 @@ func (es *effectState) classifyRootDepth(fd *funcDecl, e ast.Expr, depth int) ro
 			}
 			for i := 0; i < n; i++ {
 				if i < len(fld.Names) && fld.Names[i].Name == id.Name {
-					if es.isRefTypeExpr(fd, fld.Type) {
+					if isRefTypeExpr(fd.pkg, fld.Type) {
 						return rootRef{kind: rootParam, slot: slot + i}
 					}
 					return rootRef{drop: true, fresh: true} // value copy
@@ -415,39 +389,45 @@ func (es *effectState) classifyRootDepth(fd *funcDecl, e ast.Expr, depth int) ro
 			slot += n
 		}
 	}
-	if _, ok := m.buildIndex().vars[fd.pkg.ImportPath+"."+id.Name]; ok {
+	if isPackageVar(fd.pkg, id) {
 		return rootRef{kind: rootGlobal, sym: fd.pkg.ImportPath + "." + id.Name}
 	}
 	// A local: only reference-typed locals can alias caller state.
 	if depth <= 0 {
 		return rootRef{drop: true}
 	}
-	t := m.TypeOf(fd.pkg, fd.file, fd.decl, id)
-	if t.zero() {
+	t := fd.pkg.Info.TypeOf(id)
+	if t == nil {
 		return rootRef{drop: true}
 	}
-	if !es.isRefType(t) {
+	if !isRefType(t) {
 		return rootRef{drop: true, fresh: true} // value copy
 	}
 	return es.traceLocal(fd, id.Name, depth)
 }
 
-// isRefTypeExpr reports whether a type expression (interpreted in fd's
-// file) is reference-like: pointer, map, slice, or channel.
-func (es *effectState) isRefTypeExpr(fd *funcDecl, t ast.Expr) bool {
+// isRefTypeExpr reports whether a parameter's type expression is
+// reference-like: pointer, map, slice, or channel.
+func isRefTypeExpr(p *Package, t ast.Expr) bool {
 	if _, ok := t.(*ast.Ellipsis); ok {
 		return true // variadic: a slice
 	}
-	return es.isRefType(Type{Expr: t, Pkg: fd.pkg, File: fd.file})
+	return isRefType(p.Info.TypeOf(t))
 }
 
-func (es *effectState) isRefType(t Type) bool {
-	u := es.m.Underlying(t)
-	switch ut := u.Expr.(type) {
-	case *ast.StarExpr, *ast.MapType, *ast.ChanType:
+// isPackageVar reports whether id names a package-level var or const.
+func isPackageVar(p *Package, id *ast.Ident) bool {
+	switch obj := p.Info.ObjectOf(id).(type) {
+	case *types.Var, *types.Const:
+		return obj.Parent() == p.Types.Scope()
+	}
+	return false
+}
+
+func isRefType(t types.Type) bool {
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Map, *types.Chan, *types.Slice:
 		return true
-	case *ast.ArrayType:
-		return ut.Len == nil // slice
 	}
 	return false
 }
@@ -592,7 +572,7 @@ func (es *effectState) directEffects(key string) []effect {
 		ref := es.classifyRoot(fd, t)
 		var ek fieldKey
 		if sel := baseSelector(t); sel != nil {
-			fkey := m.NamedKey(m.TypeOf(fd.pkg, fd.file, fd.decl, sel.X))
+			fkey := fd.pkg.typeKey(sel.X)
 			if fkey != "" {
 				if _, guarded := es.sets.guarded[fieldKey{fkey, sel.Sel.Name}]; guarded {
 					ek = fieldKey{fkey, sel.Sel.Name}
@@ -657,7 +637,7 @@ func (es *effectState) directEffects(key string) []effect {
 					return true
 				}
 			}
-			if sk := stdlibCallKey(m, fd, s); sk != "" && stdlibEffects[sk] {
+			if sk := stdlibCallKey(m, fd.pkg, s); sk != "" && stdlibEffects[sk] {
 				add(effect{kind: effIO, desc: "calls effectful stdlib " + sk, pos: s.Pos()})
 			}
 		}
@@ -774,7 +754,7 @@ func (es *effectState) callContexts(fd *funcDecl) map[token.Pos]callRoots {
 		}
 		cr := callRoots{recv: rootRef{drop: true}}
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if base, isID := sel.X.(*ast.Ident); !isID || importPathOf(fd.file, base.Name) == "" {
+			if fd.pkg.importedPath(sel.X) == "" {
 				cr.recv = es.classifyRoot(fd, sel.X)
 			}
 		}
@@ -852,10 +832,3 @@ func pureModule(m *Module) []Finding {
 	}
 	return out
 }
-
-// pureRootsOf exposes the pure-annotated function keys (for tests).
-func (m *Module) pureRootsOf() []string { return effectsOf(m).pureRoots }
-
-// effectSummary exposes one function's effect summary (for tests). The
-// function must be in the analysis domain to have one.
-func (m *Module) effectSummary(key string) []effect { return effectsOf(m).sums[key] }

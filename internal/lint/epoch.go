@@ -55,6 +55,7 @@ func Epoch() *Analyzer {
 type epochSets struct {
 	guarded  map[fieldKey]token.Pos // epoch-directive fields -> declaration pos
 	counters map[fieldKey]bool      // epochcounter-directive fields
+	guards   map[fieldKey]string    // epoch fields -> their conflint:guardedby mutex
 }
 
 // fieldHasToken reports whether a struct field's doc or trailing comment
@@ -79,7 +80,7 @@ func epochSetsOf(m *Module) *epochSets {
 	if m.epochs != nil {
 		return m.epochs
 	}
-	s := &epochSets{guarded: make(map[fieldKey]token.Pos), counters: make(map[fieldKey]bool)}
+	s := &epochSets{guarded: make(map[fieldKey]token.Pos), counters: make(map[fieldKey]bool), guards: make(map[fieldKey]string)}
 	for _, p := range m.Pkgs {
 		for _, f := range p.Files {
 			for _, d := range f.AST.Decls {
@@ -101,6 +102,9 @@ func epochSetsOf(m *Module) *epochSets {
 						for _, n := range fld.Names {
 							if fieldHasToken(fld, epochDirective) {
 								s.guarded[fieldKey{key, n.Name}] = n.Pos()
+								if mu := guardAnnotation(fld); mu != "" {
+									s.guards[fieldKey{key, n.Name}] = mu
+								}
 							}
 							if fieldHasToken(fld, epochCounterDirective) {
 								s.counters[fieldKey{key, n.Name}] = true
@@ -273,7 +277,7 @@ func (ev *epochEval) stmt(s ast.Stmt, in epochState) epochState {
 		return in
 	case *ast.DeferStmt:
 		// A deferred bump covers every return after this point.
-		if key := ev.m.calleeKey(ev.fd.pkg, ev.fd.file, ev.fd.decl, s.Call); key != "" && ev.sums[key] {
+		if key := ev.m.calleeKey(ev.fd.pkg, s.Call); key != "" && ev.sums[key] {
 			in.bumped = true
 		}
 		ev.counterAddrArg(s.Call, &in)
@@ -410,7 +414,7 @@ func (ev *epochEval) applyCalls(n ast.Node, st *epochState) {
 		if !ok {
 			return true
 		}
-		if key := ev.m.calleeKey(ev.fd.pkg, ev.fd.file, ev.fd.decl, call); key != "" {
+		if key := ev.m.calleeKey(ev.fd.pkg, call); key != "" {
 			if ev.sums[key] {
 				st.bumped = true
 			} else if len(st.writes) > 0 && !hasTried(st.tried, call.Pos()) && len(st.tried) < 6 {
@@ -466,7 +470,7 @@ func (ev *epochEval) fieldOf(e ast.Expr) (fieldKey, bool) {
 	if sel == nil {
 		return fieldKey{}, false
 	}
-	key := ev.m.NamedKey(ev.m.TypeOf(ev.fd.pkg, ev.fd.file, ev.fd.decl, sel.X))
+	key := ev.fd.pkg.typeKey(sel.X)
 	if key == "" {
 		return fieldKey{}, false
 	}

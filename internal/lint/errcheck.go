@@ -8,9 +8,9 @@
 //	f, _ := strconv.ParseFloat // blank-discarded error result
 //
 // Error-returning targets are recognized two ways: module functions and
-// methods through the lightweight resolver (their signatures are in the
-// source we parsed), and a curated table of stdlib calls this repo
-// actually uses. Anything unresolvable produces no finding.
+// methods by their go/types signature, and a curated table of stdlib
+// calls this repo actually uses. Calls with no static target (function
+// values) produce no finding.
 //
 // The escape hatch is `_ = err // conflint:ignore <reason>`; the policy
 // (see DESIGN.md) admits only provably best-effort paths, like writing a
@@ -66,50 +66,17 @@ var errDiscardAllowedRecvs = map[string]bool{
 	"bytes.Buffer":    true,
 }
 
-// stdlibSingleErrResult is the subset of stdlibReturnsError whose calls
-// return exactly one value (the error) — the precondition for rewriting
-// a discarding expression statement to `_ = call()`. Multi-result calls
-// (io.Copy, os.File.Write, the strconv parsers, time.Parse) are
-// excluded: `_ =` would not compile for them.
-var stdlibSingleErrResult = map[string]bool{
-	"os.WriteFile": true, "os.MkdirAll": true, "os.Mkdir": true,
-	"os.Remove": true, "os.RemoveAll": true, "os.Rename": true,
-	"os.Setenv": true, "os.Chdir": true,
-	"os.File.Close": true, "os.File.Sync": true,
-	"net/http.Server.Serve": true, "net/http.Server.ListenAndServe": true,
-	"net/http.Server.Shutdown": true, "net/http.Server.Close": true,
-	"encoding/json.Encoder.Encode": true,
-	"encoding/json.Unmarshal":      true,
-	"encoding/csv.Writer.Write":    true, "encoding/csv.Writer.WriteAll": true,
-	"bufio.Writer.Flush": true,
-}
-
 // errFixIgnoreComment is the reasoned-discard comment -fix appends: the
 // reason is a deliberate TODO — the fix makes the discard explicit and
 // auditable, the justification stays a human's job.
 const errFixIgnoreComment = " // conflint:ignore TODO: justify this error discard"
 
 // singleErrorResult reports whether the call provably returns exactly
-// one value, an error: a resolved module signature with one result, or
-// a curated single-result stdlib call.
-func singleErrorResult(m *Module, p *Package, f *File, fn *ast.FuncDecl, call *ast.CallExpr) bool {
-	r := &resolver{m: m, pkg: p, file: f, fn: fn}
-	if sig, _, _ := r.signatureOf(call); sig != nil {
-		return returnsError(sig) && resultCount(sig) == 1
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	if base, ok := sel.X.(*ast.Ident); ok {
-		if imp := importPathOf(f, base.Name); imp != "" {
-			return stdlibSingleErrResult[imp+"."+sel.Sel.Name]
-		}
-	}
-	if key := m.NamedKey(m.TypeOf(p, f, fn, sel.X)); key != "" {
-		return stdlibSingleErrResult[key+"."+sel.Sel.Name]
-	}
-	return false
+// one value, an error — the precondition for rewriting a discarding
+// expression statement to `_ = call()`.
+func singleErrorResult(p *Package, call *ast.CallExpr) bool {
+	fn := p.callee(call)
+	return fn != nil && signature(fn).Results().Len() == 1 && returnsError(signature(fn))
 }
 
 func checkErrors(p *Package) []Finding {
@@ -142,12 +109,12 @@ func checkErrorsFunc(p *Package, f *File, fn *ast.FuncDecl) []Finding {
 			if !ok {
 				return true
 			}
-			if name, drops := callDropsError(m, p, f, fn, call); drops {
+			if name, drops := callDropsError(p, call); drops {
 				// Fixable when the call provably returns just the error
 				// (so `_ =` compiles) and the statement ends its line:
 				// prefix the blank assign, append the reasoned ignore.
 				var fixes []TextEdit
-				if singleErrorResult(m, p, f, fn, call) {
+				if singleErrorResult(p, call) {
 					if tail, ok := m.appendLineCommentEdit(f, s.End(), errFixIgnoreComment); ok {
 						at := m.offsetOf(s.Pos())
 						fixes = []TextEdit{{File: f.Path, Start: at, End: at, New: "_ = "}, tail}
@@ -159,19 +126,19 @@ func checkErrorsFunc(p *Package, f *File, fn *ast.FuncDecl) []Finding {
 					fixes)
 			}
 		case *ast.GoStmt:
-			if name, drops := callDropsError(m, p, f, fn, s.Call); drops {
+			if name, drops := callDropsError(p, s.Call); drops {
 				flag(s.Call,
 					fmt.Sprintf("go %s drops its error: the goroutine dies silently when it fails", name),
 					"wrap in `go func() { if err := ...; err != nil { log / signal } }()`", nil)
 			}
 		case *ast.DeferStmt:
-			if name, drops := callDropsError(m, p, f, fn, s.Call); drops {
+			if name, drops := callDropsError(p, s.Call); drops {
 				flag(s.Call,
 					fmt.Sprintf("defer %s drops its error", name),
 					"defer a closure that checks the error, or discard explicitly with a conflint:ignore reason", nil)
 			}
 		case *ast.AssignStmt:
-			out = append(out, checkBlankErrors(m, p, f, fn, s)...)
+			out = append(out, checkBlankErrors(p, f, s)...)
 		}
 		return true
 	})
@@ -180,57 +147,46 @@ func checkErrorsFunc(p *Package, f *File, fn *ast.FuncDecl) []Finding {
 
 // callDropsError reports whether evaluating call as a statement throws an
 // error away, with a printable name for the callee.
-func callDropsError(m *Module, p *Package, f *File, fn *ast.FuncDecl, call *ast.CallExpr) (string, bool) {
-	name := exprString(m.Fset, call.Fun)
-	if allowedDiscard(m, p, f, fn, call) {
+func callDropsError(p *Package, call *ast.CallExpr) (string, bool) {
+	name := exprString(p.Mod.Fset, call.Fun)
+	if allowedDiscard(p, call) {
 		return name, false
 	}
-	ret, known := callReturnsError(m, p, f, fn, call)
+	ret, known := callReturnsError(p, call)
 	return name, known && ret
 }
 
 // allowedDiscard reports whether the call is on the conventional
 // never-matters list.
-func allowedDiscard(m *Module, p *Package, f *File, fn *ast.FuncDecl, call *ast.CallExpr) bool {
+func allowedDiscard(p *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	if base, ok := sel.X.(*ast.Ident); ok {
-		if imp := importPathOf(f, base.Name); imp != "" {
-			return errDiscardAllowedFuncs[imp+"."+sel.Sel.Name]
-		}
+	if path, name := p.qualified(sel); path != "" {
+		return errDiscardAllowedFuncs[path+"."+name]
 	}
-	recv := m.TypeOf(p, f, fn, sel.X)
-	return errDiscardAllowedRecvs[m.NamedKey(recv)]
+	return errDiscardAllowedRecvs[p.typeKey(sel.X)]
 }
 
-// callReturnsError resolves whether a call's last result is an error.
-// known=false means the callee could not be resolved at all.
-func callReturnsError(m *Module, p *Package, f *File, fn *ast.FuncDecl, call *ast.CallExpr) (ret, known bool) {
-	r := &resolver{m: m, pkg: p, file: f, fn: fn}
-	if sig, _, _ := r.signatureOf(call); sig != nil {
-		return returnsError(sig), true
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+// callReturnsError resolves whether a call's last result is an error:
+// from the signature for module callees, from the curated table for
+// the rest. known=false means the call has no static target.
+func callReturnsError(p *Package, call *ast.CallExpr) (ret, known bool) {
+	fn := p.callee(call)
+	if fn == nil {
 		return false, false
 	}
-	if base, ok := sel.X.(*ast.Ident); ok {
-		if imp := importPathOf(f, base.Name); imp != "" {
-			return stdlibReturnsError[imp+"."+sel.Sel.Name], true
-		}
+	if p.Mod.inModule(fn) {
+		return returnsError(signature(fn)), true
 	}
-	recv := m.TypeOf(p, f, fn, sel.X)
-	if key := m.NamedKey(recv); key != "" {
-		return stdlibReturnsError[key+"."+sel.Sel.Name], true
-	}
-	return false, false
+	return stdlibReturnsError[funcObjKey(fn)], true
 }
 
 // checkBlankErrors flags `_` assignment positions that receive an error:
 // both `x, _ := call()` (multi-result call) and `_ = call()`.
-func checkBlankErrors(m *Module, p *Package, f *File, fn *ast.FuncDecl, s *ast.AssignStmt) []Finding {
+func checkBlankErrors(p *Package, f *File, s *ast.AssignStmt) []Finding {
+	m := p.Mod
 	fset := m.Fset
 	var out []Finding
 
@@ -249,10 +205,10 @@ func checkBlankErrors(m *Module, p *Package, f *File, fn *ast.FuncDecl, s *ast.A
 		if !blankAt(last) {
 			return nil
 		}
-		if allowedDiscard(m, p, f, fn, call) {
+		if allowedDiscard(p, call) {
 			return nil
 		}
-		if ret, known := callReturnsError(m, p, f, fn, call); known && ret {
+		if ret, known := callReturnsError(p, call); known && ret {
 			pos := fset.Position(s.Lhs[last].Pos())
 			out = append(out, Finding{
 				Rule: "errcheck", File: pos.Filename, Line: pos.Line, Col: pos.Column,
@@ -273,10 +229,10 @@ func checkBlankErrors(m *Module, p *Package, f *File, fn *ast.FuncDecl, s *ast.A
 			if !ok {
 				continue
 			}
-			if allowedDiscard(m, p, f, fn, call) {
+			if allowedDiscard(p, call) {
 				continue
 			}
-			if ret, known := callReturnsError(m, p, f, fn, call); known && ret {
+			if ret, known := callReturnsError(p, call); known && ret {
 				// The discard is already explicit; the fix appends the
 				// reasoned ignore that makes it auditable.
 				var fixes []TextEdit

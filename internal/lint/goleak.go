@@ -79,7 +79,7 @@ func checkGoLeak(p *Package) []Finding {
 				if f.waitGroupPaired(m, p, fn, g, term) {
 					return true
 				}
-				facts := term.spawnFacts(p, f, fn, g)
+				facts := term.spawnFacts(p, g)
 				if facts.lifecycle {
 					return true
 				}
@@ -141,7 +141,7 @@ func (f *File) waitGroupPaired(m *Module, p *Package, fn *ast.FuncDecl, g *ast.G
 		if sel.Sel.Name != "Add" && sel.Sel.Name != "Wait" {
 			return true
 		}
-		if m.NamedKey(m.TypeOf(p, f, fn, sel.X)) != "sync.WaitGroup" {
+		if p.typeKey(sel.X) != "sync.WaitGroup" {
 			return true
 		}
 		t := exprString(m.Fset, sel.X)
@@ -164,16 +164,16 @@ func (f *File) waitGroupPaired(m *Module, p *Package, fn *ast.FuncDecl, g *ast.G
 	if !paired {
 		return false
 	}
-	return term.spawnCallsDone(p, f, fn, g)
+	return term.spawnCallsDone(p, g)
 }
 
 // spawnCallsDone reports whether the spawned body (or a resolved callee,
 // transitively) calls Done on a sync.WaitGroup.
-func (t *termState) spawnCallsDone(p *Package, f *File, fn *ast.FuncDecl, g *ast.GoStmt) bool {
+func (t *termState) spawnCallsDone(p *Package, g *ast.GoStmt) bool {
 	if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
-		return t.bodyCallsDone(p, f, fn, lit.Body, make(map[string]bool))
+		return t.bodyCallsDone(p, lit.Body, make(map[string]bool))
 	}
-	if key := t.m.calleeKey(p, f, fn, g.Call); key != "" {
+	if key := t.m.calleeKey(p, g.Call); key != "" {
 		return t.fnCallsDone(key, make(map[string]bool))
 	}
 	return false
@@ -189,10 +189,10 @@ func (t *termState) fnCallsDone(key string, seen map[string]bool) bool {
 		return false
 	}
 	fd := node.Fn
-	return t.bodyCallsDone(fd.pkg, fd.file, fd.decl, fd.decl.Body, seen)
+	return t.bodyCallsDone(fd.pkg, fd.decl.Body, seen)
 }
 
-func (t *termState) bodyCallsDone(p *Package, f *File, fn *ast.FuncDecl, body *ast.BlockStmt, seen map[string]bool) bool {
+func (t *termState) bodyCallsDone(p *Package, body *ast.BlockStmt, seen map[string]bool) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
@@ -206,11 +206,11 @@ func (t *termState) bodyCallsDone(p *Package, f *File, fn *ast.FuncDecl, body *a
 			return true
 		}
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" &&
-			t.m.NamedKey(t.m.TypeOf(p, f, fn, sel.X)) == "sync.WaitGroup" {
+			p.typeKey(sel.X) == "sync.WaitGroup" {
 			found = true
 			return false
 		}
-		if key := t.m.calleeKey(p, f, fn, call); key != "" && t.fnCallsDone(key, seen) {
+		if key := t.m.calleeKey(p, call); key != "" && t.fnCallsDone(key, seen) {
 			found = true
 			return false
 		}
@@ -234,11 +234,11 @@ type termState struct {
 }
 
 // spawnFacts analyzes the body a go statement spawns.
-func (t *termState) spawnFacts(p *Package, f *File, fn *ast.FuncDecl, g *ast.GoStmt) termFacts {
+func (t *termState) spawnFacts(p *Package, g *ast.GoStmt) termFacts {
 	if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
-		return t.bodyFacts(p, f, fn, lit.Body, make(map[string]bool))
+		return t.bodyFacts(p, lit.Body, make(map[string]bool))
 	}
-	if key := t.m.calleeKey(p, f, fn, g.Call); key != "" {
+	if key := t.m.calleeKey(p, g.Call); key != "" {
 		return t.fnFacts(key, make(map[string]bool))
 	}
 	// Unresolvable spawn target (function value, interface method):
@@ -259,7 +259,7 @@ func (t *termState) fnFacts(key string, seen map[string]bool) termFacts {
 	}
 	t.active[key] = true
 	fd := node.Fn
-	facts := t.bodyFacts(fd.pkg, fd.file, fd.decl, fd.decl.Body, seen)
+	facts := t.bodyFacts(fd.pkg, fd.decl.Body, seen)
 	delete(t.active, key)
 	t.memo[key] = facts
 	return facts
@@ -268,7 +268,7 @@ func (t *termState) fnFacts(key string, seen map[string]bool) termFacts {
 // bodyFacts walks one body, skipping nested go statements and function
 // literals (judged at their own spawn/call sites), collecting lifecycle
 // evidence and non-termination reasons, and following resolved callees.
-func (t *termState) bodyFacts(p *Package, f *File, fn *ast.FuncDecl, body *ast.BlockStmt, seen map[string]bool) termFacts {
+func (t *termState) bodyFacts(p *Package, body *ast.BlockStmt, seen map[string]bool) termFacts {
 	m := t.m
 	facts := termFacts{terminates: true}
 	flagNonTerm := func(why string) {
@@ -308,16 +308,16 @@ func (t *termState) bodyFacts(p *Package, f *File, fn *ast.FuncDecl, body *ast.B
 				flagNonTerm("it loops forever (for {} with no break or return)")
 			}
 		case *ast.RangeStmt:
-			if _, isChan := m.Underlying(m.TypeOf(p, f, fn, s.X)).Expr.(*ast.ChanType); isChan {
+			if p.isChan(s.X) {
 				flagNonTerm(fmt.Sprintf("it ranges over channel %s, which never ends unless the channel is closed",
 					exprString(m.Fset, s.X)))
 			}
 		case *ast.CallExpr:
-			if why := t.blockingStdlibCall(p, f, fn, s); why != "" {
+			if why := t.blockingStdlibCall(p, s); why != "" {
 				flagNonTerm(why)
 				return true
 			}
-			if key := m.calleeKey(p, f, fn, s); key != "" && !seen[key] {
+			if key := m.calleeKey(p, s); key != "" && !seen[key] {
 				seen[key] = true
 				sub := t.fnFacts(key, seen)
 				if sub.lifecycle {
@@ -387,20 +387,18 @@ var blockingStdlibFuncs = map[string]string{
 
 // blockingStdlibCall reports a human-readable reason when the call is a
 // known-blocking stdlib serve loop, "" otherwise.
-func (t *termState) blockingStdlibCall(p *Package, f *File, fn *ast.FuncDecl, call *ast.CallExpr) string {
+func (t *termState) blockingStdlibCall(p *Package, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return ""
 	}
-	if base, ok := sel.X.(*ast.Ident); ok {
-		if imp := importPathOf(f, base.Name); imp != "" {
-			if name, ok := blockingStdlibFuncs[imp+"."+sel.Sel.Name]; ok {
-				return fmt.Sprintf("it blocks in %s until shutdown", name)
-			}
-			return ""
+	if path, name := p.qualified(sel); path != "" {
+		if name, ok := blockingStdlibFuncs[path+"."+name]; ok {
+			return fmt.Sprintf("it blocks in %s until shutdown", name)
 		}
+		return ""
 	}
-	key := t.m.NamedKey(t.m.TypeOf(p, f, fn, sel.X))
+	key := p.typeKey(sel.X)
 	if methods, ok := blockingStdlibMethods[key]; ok && methods[sel.Sel.Name] {
 		return fmt.Sprintf("it blocks in %s.%s until shutdown", key, sel.Sel.Name)
 	}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -158,7 +159,7 @@ func (m *Module) hotAllocFn(fd *funcDecl, key string) []Finding {
 				walk(s.Body, 0, nil)
 				return false
 			case *ast.CallExpr:
-				if depth > 0 && isSprintf(f, s) {
+				if depth > 0 && isSprintf(p, s) {
 					report(s.Pos(), fmt.Sprintf("hot path %s calls fmt.Sprintf inside a loop: one allocation per element", short),
 						"format once outside the loop, or use strconv/append-style building")
 				}
@@ -170,7 +171,7 @@ func (m *Module) hotAllocFn(fd *funcDecl, key string) []Finding {
 					}
 				}
 			case *ast.AssignStmt:
-				if depth > 0 && isStringConcat(m, p, f, fn, s) {
+				if depth > 0 && isStringConcat(p, s) {
 					report(s.Pos(), fmt.Sprintf("hot path %s concatenates strings inside a loop: quadratic allocation", short),
 						"use a strings.Builder (or collect parts and strings.Join once)")
 				}
@@ -192,7 +193,7 @@ func (m *Module) preallocFix(p *Package, f *File, fn *ast.FuncDecl, name string,
 	if loop == nil || !simpleRangeSrc(loop.X, name) {
 		return nil
 	}
-	if !lenCapable(m, p, f, fn, loop.X) {
+	if !lenCapable(p, loop.X) {
 		return nil
 	}
 	srcText := exprString(m.Fset, loop.X)
@@ -255,42 +256,39 @@ func simpleRangeSrc(e ast.Expr, avoid string) bool {
 	return false
 }
 
-// lenCapable reports whether the expression's resolved type supports
-// len(): a slice, array, map, or string. Unresolvable types are not
-// fixable (conservative).
-func lenCapable(m *Module, p *Package, f *File, fn *ast.FuncDecl, e ast.Expr) bool {
-	t := m.Underlying(m.TypeOf(p, f, fn, e))
-	switch u := t.Expr.(type) {
-	case *ast.ArrayType, *ast.MapType:
+// lenCapable reports whether the expression's type supports len(): a
+// slice, array, pointer to array, map, or string.
+func lenCapable(p *Package, e ast.Expr) bool {
+	t := p.Info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		_, isArray := ptr.Elem().Underlying().(*types.Array)
+		return isArray
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Slice, *types.Array, *types.Map:
 		return true
-	case *ast.Ident:
-		return u.Name == "string"
+	case *types.Basic:
+		return u.Info()&types.IsString != 0
 	}
 	return false
 }
 
 // isSprintf matches fmt.Sprintf (and Sprint/Sprintln) calls.
-func isSprintf(f *File, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+func isSprintf(p *Package, call *ast.CallExpr) bool {
+	switch path, name := p.qualified(call.Fun); {
+	case path != "fmt":
 		return false
-	}
-	base, ok := sel.X.(*ast.Ident)
-	if !ok || importPathOf(f, base.Name) != "fmt" {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "Sprintf", "Sprint", "Sprintln":
+	case name == "Sprintf", name == "Sprint", name == "Sprintln":
 		return true
 	}
 	return false
 }
 
-// isStringConcat matches `s += x` and `s = s + x` where s is a string:
-// either its declared type resolves to string, or a string literal
-// appears among the operands (the resolver cannot type every local, so
-// the literal operand is the syntactic tell).
-func isStringConcat(m *Module, p *Package, f *File, fn *ast.FuncDecl, as *ast.AssignStmt) bool {
+// isStringConcat matches `s += x` and `s = s + x` where s is a string.
+func isStringConcat(p *Package, as *ast.AssignStmt) bool {
 	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 		return false
 	}
@@ -300,7 +298,7 @@ func isStringConcat(m *Module, p *Package, f *File, fn *ast.FuncDecl, as *ast.As
 		concat = true
 	case token.ASSIGN:
 		if bin, ok := as.Rhs[0].(*ast.BinaryExpr); ok && bin.Op == token.ADD {
-			if exprString(m.Fset, bin.X) == exprString(m.Fset, as.Lhs[0]) {
+			if exprString(p.Mod.Fset, bin.X) == exprString(p.Mod.Fset, as.Lhs[0]) {
 				concat = true
 			}
 		}
@@ -308,21 +306,8 @@ func isStringConcat(m *Module, p *Package, f *File, fn *ast.FuncDecl, as *ast.As
 	if !concat {
 		return false
 	}
-	if id, ok := m.Underlying(m.TypeOf(p, f, fn, as.Lhs[0])).Expr.(*ast.Ident); ok && id.Name == "string" {
-		return true
-	}
-	return hasStringLit(as.Rhs[0])
-}
-
-func hasStringLit(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if bl, ok := n.(*ast.BasicLit); ok && bl.Kind == token.STRING {
-			found = true
-		}
-		return !found
-	})
-	return found
+	b, ok := underlying(p.Info.TypeOf(as.Lhs[0])).(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
 }
 
 // bareAppend matches `x = append(x, ...)` where x is a slice declared in

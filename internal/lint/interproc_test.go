@@ -143,29 +143,23 @@ func TestCallGraphDeterminism(t *testing.T) {
 	}
 }
 
-// FuzzResolve feeds arbitrary Go sources through the full analyzer
-// stack — parse, resolve, call graph, all seven rules. The resolver and
-// graph walk must never panic on any input; unparsable input is simply
-// skipped. The corpus is seeded from the module's own files.
-func FuzzResolve(f *testing.F) {
-	root := repoRoot(f)
-	seeded := 0
-	for _, dir := range []string{"internal/core", "internal/conf", filepath.Join("internal", "lint", "testdata", "src", "lockorder")} {
-		entries, err := os.ReadDir(filepath.Join(root, dir))
+// FuzzLoad feeds arbitrary Go sources through the loader and the full
+// analyzer stack — parse, type-check, call graph, all twelve rules.
+// Inputs that do not load (syntax or type errors, unknown imports) are
+// skipped; an input that loads must run every rule without panicking.
+// The corpus is seeded from the rule fixtures: each is a whole package
+// in one file, so every seed loads and drives its rule's machinery.
+func FuzzLoad(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "src", "*", "*.go"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no fixture seeds: %v", err)
+	}
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
 		if err != nil {
-			continue
+			f.Fatal(err)
 		}
-		for _, e := range entries {
-			if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") || seeded >= 8 {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(root, dir, e.Name()))
-			if err != nil {
-				continue
-			}
-			f.Add(string(data))
-			seeded++
-		}
+		f.Add(string(data))
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		dir := t.TempDir()
@@ -174,7 +168,7 @@ func FuzzResolve(f *testing.F) {
 		}
 		m, err := LoadFixture(dir)
 		if err != nil {
-			t.Skip() // parse errors are expected; panics are the bug
+			t.Skip() // inputs that do not load are expected; panics are the bug
 		}
 		Run(m, All())
 	})

@@ -5,12 +5,14 @@
 // the metrics counters, and the absence of silently dropped errors.
 //
 // The suite is stdlib-only: packages are parsed with go/parser and
-// analyzed syntactically with a lightweight name-resolution layer
-// (resolve.go) instead of go/types, so it runs on a bare toolchain with
-// no module dependencies. Resolution is deliberately conservative — an
-// expression whose type cannot be determined produces no findings — so
-// every reported finding is worth reading, at the price of a few
-// undetectable corner cases (documented per analyzer).
+// type-checked with go/types (typecheck.go) — the module's own packages
+// from source, every other import from the export data `go list
+// -export` reports — so every analyzer works from exact types. A load
+// with type errors fails, naming file and line: no rule ever runs on
+// partial type information. The analyzers stay conservative where the
+// program is dynamic — a call through a function value or an interface
+// has no static target and produces no interprocedural finding
+// (documented per analyzer).
 //
 // Findings can be suppressed line-by-line with
 //
@@ -29,7 +31,9 @@ import (
 	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/printer"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -109,13 +113,15 @@ func (f *File) Parent(n ast.Node) ast.Node {
 	return f.parents[n]
 }
 
-// Package is one parsed package directory.
+// Package is one parsed, type-checked package directory.
 type Package struct {
 	ImportPath string
 	Dir        string
 	Name       string
 	Files      []*File
 	Mod        *Module
+	Types      *types.Package
+	Info       *types.Info
 }
 
 // Module is a loaded source tree: the unit conflint runs over.
@@ -125,7 +131,7 @@ type Module struct {
 	Fset *token.FileSet
 	Pkgs []*Package
 
-	idx     *index              // lazy resolution indexes (resolve.go)
+	byPath  map[string]*Package // loaded packages by import path
 	atomics *atomicSets         // lazy module-wide atomic-field sets (atomiccheck.go)
 	graph   *CallGraph          // lazy module-wide call graph (callgraph.go)
 	callers map[string][]string // lazy reverse call-graph edges (dataflow.go)
@@ -244,10 +250,10 @@ func skipDir(name string) bool {
 	return strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
 }
 
-// LoadModule parses every non-test Go file under root (the directory
-// holding go.mod). Test files are excluded by design: the invariants
-// guard production code paths, and test helpers legitimately drop errors
-// and read clocks.
+// LoadModule parses and type-checks every non-test Go file under root
+// (the directory holding go.mod), nested modules included. Test files
+// are excluded by design: the invariants guard production code paths,
+// and test helpers legitimately drop errors and read clocks.
 func LoadModule(root string) (*Module, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -285,11 +291,14 @@ func LoadModule(root string) (*Module, error) {
 		return nil, err
 	}
 	sort.Slice(m.Pkgs, func(i, j int) bool { return m.Pkgs[i].ImportPath < m.Pkgs[j].ImportPath })
+	if err := m.typeCheck(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
-// LoadFixture parses a single directory as a one-package module (the
-// fixture tests' entry point).
+// LoadFixture parses and type-checks a single directory as a one-package
+// module (the fixture tests' entry point).
 func LoadFixture(dir string) (*Module, error) {
 	m := &Module{Root: dir, Path: "fixture", Fset: token.NewFileSet()}
 	pkg, err := m.loadDir(dir, "fixture")
@@ -300,6 +309,9 @@ func LoadFixture(dir string) (*Module, error) {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
 	m.Pkgs = []*Package{pkg}
+	if err := m.typeCheck(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -356,6 +368,35 @@ func modulePath(gomod string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("lint: no module line in %s", gomod)
+}
+
+// baseTypeName strips pointers/parens/generics from a receiver type.
+func baseTypeName(e ast.Expr) string {
+	for {
+		switch t := e.(type) {
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.ParenExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.IndexListExpr:
+			e = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// exprString renders an expression compactly ("e.mu", "w.e.mu") for
+// matching lock/unlock pairs.
+func exprString(fset *token.FileSet, e ast.Expr) string {
+	var b strings.Builder
+	// printer.Fprint never fails on a bytes-like writer.
+	_ = printer.Fprint(&b, fset, e)
+	return b.String()
 }
 
 const ignoreDirective = "conflint:ignore"

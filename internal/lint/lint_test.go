@@ -151,3 +151,19 @@ func TestRenderers(t *testing.T) {
 		t.Errorf("JSON rendering wrong (want relative paths, errcheck rule):\n%s", j)
 	}
 }
+
+// TestLoadRejectsTypeErrors checks that a package with a type error
+// fails to load, naming file and line, so no analyzer ever runs on
+// partial type information.
+func TestLoadRejectsTypeErrors(t *testing.T) {
+	m, err := LoadFixture(filepath.Join("testdata", "typeerror"))
+	if err == nil {
+		t.Fatalf("a package with a type error loaded (%d packages)", len(m.Pkgs))
+	}
+	if m != nil {
+		t.Errorf("a failed load returned a module")
+	}
+	if !strings.Contains(err.Error(), filepath.Join("typeerror", "typeerror.go")+":9:") {
+		t.Errorf("load error does not name typeerror.go:9: %v", err)
+	}
+}

@@ -85,7 +85,7 @@ func checkLocks(p *Package) []Finding {
 				if !ok {
 					continue
 				}
-				gs := scanStruct(f, ts.Name.Name, st)
+				gs := scanStruct(p, f, ts.Name.Name, st)
 				if gs != nil {
 					structs[gs.name] = gs
 				}
@@ -131,10 +131,10 @@ func checkLocks(p *Package) []Finding {
 
 // scanStruct collects mutex fields and guardedby annotations; returns nil
 // when the struct has no mutex fields.
-func scanStruct(f *File, name string, st *ast.StructType) *guardedStruct {
+func scanStruct(p *Package, f *File, name string, st *ast.StructType) *guardedStruct {
 	gs := &guardedStruct{name: name, guards: make(map[string]string), pos: st.Pos(), file: f}
 	for _, fld := range st.Fields.List {
-		if rw, ok := mutexType(f, fld.Type); ok {
+		if rw, ok := isMutexType(p.Info.TypeOf(fld.Type)); ok {
 			for _, n := range fld.Names {
 				gs.mutexes = append(gs.mutexes, mutexField{name: n.Name, rw: rw, fldPos: n.Pos()})
 			}
@@ -152,28 +152,6 @@ func scanStruct(f *File, name string, st *ast.StructType) *guardedStruct {
 		return nil
 	}
 	return gs
-}
-
-// mutexType recognizes sync.Mutex and sync.RWMutex (optionally pointer).
-func mutexType(f *File, t ast.Expr) (rw, ok bool) {
-	if st, isPtr := t.(*ast.StarExpr); isPtr {
-		t = st.X
-	}
-	sel, isSel := t.(*ast.SelectorExpr)
-	if !isSel {
-		return false, false
-	}
-	base, isIdent := sel.X.(*ast.Ident)
-	if !isIdent || importPathOf(f, base.Name) != "sync" {
-		return false, false
-	}
-	switch sel.Sel.Name {
-	case "Mutex":
-		return false, true
-	case "RWMutex":
-		return true, true
-	}
-	return false, false
 }
 
 // guardAnnotation extracts `conflint:guardedby <mu>` from a field's doc

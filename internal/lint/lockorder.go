@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -247,7 +248,7 @@ func (t *transAcqState) of(key string) map[string][]pathStep {
 // lockEvents scans a function body for lock operations in source order,
 // resolving each target to its class.
 func (m *Module) lockEvents(fd *funcDecl) []*lockEvent {
-	fn, f, p := fd.decl, fd.file, fd.pkg
+	fn, p := fd.decl, fd.pkg
 	deferred := make(map[*ast.CallExpr]bool)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if d, ok := n.(*ast.DeferStmt); ok {
@@ -278,7 +279,7 @@ func (m *Module) lockEvents(fd *funcDecl) []*lockEvent {
 			return true
 		}
 		ev.target = exprString(m.Fset, sel.X)
-		ev.class = m.lockClass(p, f, fn, sel.X)
+		ev.class = m.lockClass(p, fn, sel.X)
 		out = append(out, ev)
 		return true
 	})
@@ -315,18 +316,15 @@ func (m *Module) lockIntervals(fd *funcDecl) []heldInterval {
 
 // lockClass abstracts a lock target expression to its class (see the
 // package comment), or "" when unresolvable.
-func (m *Module) lockClass(p *Package, f *File, fn *ast.FuncDecl, target ast.Expr) string {
+func (m *Module) lockClass(p *Package, fn *ast.FuncDecl, target ast.Expr) string {
 	switch t := target.(type) {
 	case *ast.SelectorExpr:
-		key := m.NamedKey(m.TypeOf(p, f, fn, t.X))
-		if key == "" {
+		key := p.typeKey(t.X)
+		sel := p.Info.Selections[t]
+		if key == "" || sel == nil || sel.Kind() != types.FieldVal || len(sel.Index()) != 1 {
 			return ""
 		}
-		ft := m.FieldType(key, t.Sel.Name)
-		if ft.Expr == nil {
-			return ""
-		}
-		if _, ok := mutexType(ft.File, ft.Expr); !ok {
+		if _, ok := isMutexType(sel.Obj().Type()); !ok {
 			return ""
 		}
 		return key + "." + t.Sel.Name
@@ -335,18 +333,15 @@ func (m *Module) lockClass(p *Package, f *File, fn *ast.FuncDecl, target ast.Exp
 		if call == nil {
 			return ""
 		}
-		callee := m.calleeKey(p, f, fn, call)
+		callee := m.calleeKey(p, call)
 		if callee == "" {
 			return ""
 		}
-		fd, ok := m.buildIndex().methods[callee]
-		if !ok {
-			fd, ok = m.buildIndex().funcs[callee]
-		}
-		if !ok || fd.decl.Type.Results == nil || len(fd.decl.Type.Results.List) == 0 {
+		res := signature(p.callee(call)).Results()
+		if res.Len() == 0 {
 			return ""
 		}
-		if _, isMu := mutexType(fd.file, fd.decl.Type.Results.List[0].Type); !isMu {
+		if _, isMu := isMutexType(res.At(0).Type()); !isMu {
 			return ""
 		}
 		return callee + "()"

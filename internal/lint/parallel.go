@@ -26,11 +26,9 @@ var interprocRules = map[string]bool{
 }
 
 // Prewarm builds every lazily shared structure the analyzers read
-// concurrently: the resolution index, the call graph and its reverse
-// edges, the atomic and epoch field sets. After Prewarm, those caches
-// are read-only.
+// concurrently: the call graph and its reverse edges, the atomic and
+// epoch field sets. After Prewarm, those caches are read-only.
 func (m *Module) Prewarm() {
-	m.buildIndex()
 	m.Graph()
 	m.Callers()
 	atomicSetsOf(m)

@@ -208,7 +208,7 @@ func (sp *spState) scanBlocking(fd *funcDecl, body ast.Node, lifecycle string, h
 			direct(s.OpPos, fmt.Sprintf("receives from %s with no lifecycle guard", exprString(m.Fset, s.X)))
 			return true
 		case *ast.RangeStmt:
-			if _, isChan := m.Underlying(m.TypeOf(fd.pkg, fd.file, fd.decl, s.X)).Expr.(*ast.ChanType); isChan {
+			if fd.pkg.isChan(s.X) {
 				if guardName == "" || lastSelName(s.X) != guardName {
 					direct(s.Pos(), fmt.Sprintf("ranges over channel %s, which is not the lifecycle channel", exprString(m.Fset, s.X)))
 				}
@@ -238,16 +238,14 @@ func (sp *spState) checkCall(fd *funcDecl, call *ast.CallExpr, hit func(pos toke
 		return
 	}
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if base, ok := sel.X.(*ast.Ident); ok {
-			if imp := importPathOf(fd.file, base.Name); imp != "" {
-				if name, ok := blockingStdlibFuncs[imp+"."+sel.Sel.Name]; ok {
-					hit(call.Pos(), fmt.Sprintf("blocks in %s until an external shutdown", name),
-						[]string{m.stepf(call.Pos(), "blocks in %s", name)})
-				}
-				return
+		if path, name := fd.pkg.qualified(sel); path != "" {
+			if name, ok := blockingStdlibFuncs[path+"."+name]; ok {
+				hit(call.Pos(), fmt.Sprintf("blocks in %s until an external shutdown", name),
+					[]string{m.stepf(call.Pos(), "blocks in %s", name)})
 			}
+			return
 		}
-		tk := m.NamedKey(m.TypeOf(fd.pkg, fd.file, fd.decl, sel.X))
+		tk := fd.pkg.typeKey(sel.X)
 		if methods, ok := blockingStdlibMethods[tk]; ok && methods[sel.Sel.Name] {
 			hit(call.Pos(), fmt.Sprintf("blocks in %s.%s until an external shutdown", tk, sel.Sel.Name),
 				[]string{m.stepf(call.Pos(), "blocks in %s.%s", tk, sel.Sel.Name)})
@@ -259,7 +257,7 @@ func (sp *spState) checkCall(fd *funcDecl, call *ast.CallExpr, hit func(pos toke
 			return
 		}
 	}
-	key := m.calleeKey(fd.pkg, fd.file, fd.decl, call)
+	key := m.calleeKey(fd.pkg, call)
 	if key == "" {
 		return
 	}
@@ -370,7 +368,7 @@ func checkWorkerSite(sp *spState, fd *funcDecl, gs *ast.GoStmt, info workerInfo,
 	workerFd := fd
 	if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
 		body = lit.Body
-	} else if key := m.calleeKey(fd.pkg, fd.file, fd.decl, gs.Call); key != "" {
+	} else if key := m.calleeKey(fd.pkg, gs.Call); key != "" {
 		if node := m.Graph().Node(key); node != nil && node.Fn != nil && node.Fn.decl.Body != nil {
 			workerFd = node.Fn
 			body = node.Fn.decl.Body

@@ -268,15 +268,6 @@ func (s *search) indexScanCand(t int, info *plan.TableInfo, ix *plan.IndexInfo, 
 	return cand{node: node, est: node.Est}, true
 }
 
-func indexHasCol(ix *plan.IndexInfo, col int) bool {
-	for _, c := range ix.Cols {
-		if c == col {
-			return true
-		}
-	}
-	return false
-}
-
 // inDrivenCands builds candidates that drive the index with the values of
 // an IN-subquery set: one index probe per set value.
 func (s *search) inDrivenCands(t int, info *plan.TableInfo, ix *plan.IndexInfo, sels []sql.SelPred, ins []int) []cand {

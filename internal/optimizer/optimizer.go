@@ -398,24 +398,6 @@ func tailFraction(op string, k, avg float64) float64 {
 	return 0.3
 }
 
-func cmpInt(a int64, op string, b int64) bool {
-	switch op {
-	case "=":
-		return a == b
-	case "<>":
-		return a != b
-	case "<":
-		return a < b
-	case "<=":
-		return a <= b
-	case ">":
-		return a > b
-	case ">=":
-		return a >= b
-	}
-	return false
-}
-
 // finalize wraps the join tree with aggregation or projection.
 func (s *search) finalize(root cand) (plan.Node, plan.Est) {
 	q := s.q

@@ -527,19 +527,3 @@ func permCount(n, maxLen int) int {
 	}
 	return total
 }
-
-// DebugEvalCount reports the candidate-space size a profile would incur on
-// the workload — the quantity EvalLimit bounds. Exposed for calibration
-// tooling and tests.
-func DebugEvalCount(e *engine.Engine, cfg Config, queries []string) int {
-	r := New(e, cfg)
-	total := 0
-	for _, text := range queries {
-		q, err := e.AnalyzeSQL(text)
-		if err != nil {
-			continue
-		}
-		total += r.evalUnits(q)
-	}
-	return total
-}
