@@ -10,8 +10,9 @@
 //
 // -selfhost boots a gateway in-process on an ephemeral port (the
 // `make gateway-smoke` path: no daemon choreography needed), runs the
-// fleet, asserts the gateway went ready and admitted queries, and drains
-// it cleanly. -sync executes the seeded schedule as an indexed fan-out
+// fleet, asserts the gateway went ready and admitted queries, drains it
+// cleanly and fails if any retune failed; the artifact is written after
+// the drain, so it counts every retune. -sync executes the seeded schedule as an indexed fan-out
 // (tuning off), the mode whose per-tenant audit dumps and goal reports
 // are byte-identical across runs and worker counts.
 package main
@@ -228,13 +229,9 @@ func run(url, tenantsFlag string, selfhost bool, configPath string, scale float6
 		}
 	}
 
-	if outFile != "" {
-		if err := writeBenchJSON(outFile, url, g, rep, seed, syncMode, readySecs); err != nil {
-			return err
-		}
-	}
-
 	if selfhost {
+		// Drain before reporting, so the artifact counts every retune,
+		// including one still in flight when the fleet finished.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if err := g.Shutdown(ctx); err != nil {
@@ -246,6 +243,15 @@ func run(url, tenantsFlag string, selfhost bool, configPath string, scale float6
 		}
 		fmt.Printf("loadgen: gateway drained cleanly (%d accepted, %d rejected, %d retunes)\n",
 			s.Accepted, s.Rejected, s.Retunes)
+		if s.RetuneErrs > 0 {
+			return fmt.Errorf("%d retunes failed", s.RetuneErrs)
+		}
+	}
+
+	if outFile != "" {
+		if err := writeBenchJSON(outFile, url, g, rep, seed, syncMode, readySecs); err != nil {
+			return err
+		}
 	}
 	return nil
 }

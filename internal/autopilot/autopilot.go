@@ -11,12 +11,15 @@
 //
 //   - Stream     — seeded mixture-of-families query source with a drift
 //     schedule that shifts the mix over time (stream.go)
-//   - observer   — per-window CFC quantiles, goal verdicts and
-//     estimate-vs-actual ratios (observer.go)
-//   - controller — detects mix shifts and goal violations, recommends,
-//     predicts and applies transitions (controller.go)
+//   - Grade      — the window grader: CFC quantiles, mean, goal verdicts;
+//     the observer adds the mix and E/A ratios (observer.go)
+//   - Controller — detects mix shifts and goal violations, recommends,
+//     predicts and applies through a caller-supplied apply (controller.go)
 //   - Metrics    — atomic counters + /metrics and /healthz handlers
 //     (metrics.go)
+//
+// The gateway's one control goroutine drives the same Grade, Controller
+// and ScaleLoop over live traffic.
 //
 // In bounded mode (Options.Windows > 0) with Options.Sync set, a run is
 // fully deterministic: same seed ⇒ byte-identical window reports at any
@@ -69,7 +72,8 @@ type Options struct {
 	Goal core.Goal
 
 	// MixShiftThreshold is the moved-probability-mass fraction beyond
-	// which the controller treats the mix as shifted (default 0.25).
+	// which the controller treats the mix as shifted (default
+	// DefaultMixShiftThreshold).
 	MixShiftThreshold float64
 
 	// Timeout is the per-query simulated timeout (default 1800s).
@@ -101,13 +105,19 @@ type Options struct {
 	Autoscale *ScaleLoop
 }
 
-// ScaleLoop bundles the elastic-scaling collaborators the batch loop
+// ScaleLoop bundles the elastic-scaling collaborators a control loop
 // drives between windows: the cluster under management plus the shard
 // package's pure Recommender and side-effecting Updater.
 type ScaleLoop struct {
 	Cluster *shard.Cluster
 	Rec     *shard.Recommender
 	Upd     *shard.Updater
+}
+
+// Scale hands one window's metrics to recommend→apply.
+func (s *ScaleLoop) Scale(m shard.WindowMetrics) {
+	cur := shard.State{Shards: s.Cluster.Shards(), Pool: s.Cluster.Pool()}
+	s.Upd.Apply(s.Rec.Recommend(cur, m))
 }
 
 func (o *Options) setDefaults() {
@@ -130,7 +140,7 @@ func (o *Options) setDefaults() {
 		o.Goal = core.Example2Goal()
 	}
 	if o.MixShiftThreshold == 0 {
-		o.MixShiftThreshold = 0.25
+		o.MixShiftThreshold = DefaultMixShiftThreshold
 	}
 	if o.Timeout == 0 {
 		o.Timeout = core.DefaultTimeout
@@ -144,7 +154,7 @@ type Autopilot struct {
 	stream   *Stream
 	runner   core.Runner
 	estR     core.Runner // no OnMeasure hook: estimates are not traffic
-	ctrl     *controller
+	ctrl     *Controller
 	metrics  *Metrics
 	famOrder []string
 
@@ -187,9 +197,8 @@ func New(opts Options) (*Autopilot, error) {
 			return nil, fmt.Errorf("autopilot: families span databases %s and %s; one engine serves one database", db, d)
 		}
 	}
-	var recCfg recommender.Config
 	if opts.Recommender != "1C" {
-		if recCfg, err = recConfigOf(opts.Recommender); err != nil {
+		if _, err := recConfigOf(opts.Recommender); err != nil {
 			return nil, err
 		}
 	}
@@ -248,16 +257,18 @@ func New(opts Options) (*Autopilot, error) {
 		famOrder: famOrder,
 		curName:  "P",
 	}
-	a.ctrl = &controller{
-		eng:       eng,
-		runner:    a.estR,
-		budget:    budget,
-		profile:   opts.Recommender,
-		recCfg:    recCfg,
-		timeout:   opts.Timeout,
-		threshold: opts.MixShiftThreshold,
-		whatif:    eng.NewWhatIf(),
-		metrics:   metrics,
+	a.ctrl, err = NewController(ControllerOptions{
+		Engine:      eng,
+		Profile:     opts.Recommender,
+		Budget:      budget,
+		Parallelism: opts.Parallelism,
+		Timeout:     opts.Timeout,
+		Threshold:   opts.MixShiftThreshold,
+		Apply:       eng.Transition,
+		Metrics:     metrics,
+	})
+	if err != nil {
+		return nil, err
 	}
 	return a, nil
 }
@@ -281,6 +292,23 @@ func (a *Autopilot) Run(ctx context.Context) (reports []WindowReport, retunes []
 	reports = make([]WindowReport, 0, a.opts.Windows)
 	retunes = make([]RetuneRecord, 0, a.opts.Windows)
 
+	// firstFull tracks the window that will be the first served entirely
+	// by the most recently applied configuration (-1 = none awaited).
+	firstFull := -1
+	lastPredicted := 0.0
+	// join waits out a retune and logs it; an applied one becomes the
+	// current configuration, with window next the first fully under it.
+	join := func(job *retuneJob, next int) bool {
+		<-job.done
+		retunes = append(retunes, job.rec)
+		if job.rec.Err != "" {
+			return false
+		}
+		a.curName = job.rec.Name
+		firstFull, lastPredicted = next, job.rec.PredictedMean
+		return true
+	}
+
 	streamPos := 0
 	if a.opts.Warmup {
 		qs, err := a.stream.Window(streamPos, a.opts.WindowSize)
@@ -288,36 +316,19 @@ func (a *Autopilot) Run(ctx context.Context) (reports []WindowReport, retunes []
 			return nil, nil, err
 		}
 		streamPos++
-		job := a.ctrl.launch(-1, "warmup", sqlsOf(qs), countMix(qs, a.famOrder))
-		<-job.done
-		retunes = append(retunes, job.rec)
-		if job.rec.Err == "" {
-			a.curName = job.rec.Name
-		}
+		join(a.ctrl.launch(-1, "warmup", sqlsOf(qs), CountMix(familiesOf(qs), a.famOrder)), -1)
 	}
 
 	var pending *retuneJob
-	// joinPending drains the in-flight retune, if any. It runs before
-	// every return: a retune goroutine may be mid-Transition, and exiting
-	// while it holds the engine's write lock would drop accepted work on
-	// the floor (the shutdown-ordering contract shared with the gateway).
-	joinPending := func() {
-		if pending == nil {
-			return
+	// The in-flight retune is joined before every return: it may be
+	// mid-Transition, and exiting while it holds the engine's write lock
+	// would drop accepted work on the floor (the shutdown-ordering
+	// contract shared with the gateway).
+	defer func() {
+		if pending != nil {
+			join(pending, -1)
 		}
-		<-pending.done
-		retunes = append(retunes, pending.rec)
-		if pending.rec.Err == "" {
-			a.curName = pending.rec.Name
-		}
-		pending = nil
-	}
-	defer joinPending()
-
-	// firstFull tracks the window that will be the first served entirely
-	// by the most recently applied configuration (-1 = none awaited).
-	firstFull := -1
-	lastPredicted := 0.0
+	}()
 
 	for w := 0; a.opts.Windows == 0 || w < a.opts.Windows; w++ {
 		if err := ctx.Err(); err != nil {
@@ -344,13 +355,8 @@ func (a *Autopilot) Run(ctx context.Context) (reports []WindowReport, retunes []
 		if pending != nil {
 			// The overlapped retune ran concurrently with this window's
 			// traffic; join it before observing.
-			<-pending.done
-			retunes = append(retunes, pending.rec)
-			if pending.rec.Err == "" {
-				a.curName = pending.rec.Name
-				cfgLabel = startCfg + "→" + pending.rec.Name
-				firstFull = w + 1
-				lastPredicted = pending.rec.PredictedMean
+			if join(pending, w+1) {
+				cfgLabel = startCfg + "→" + a.curName
 			}
 			pending = nil
 		}
@@ -366,13 +372,7 @@ func (a *Autopilot) Run(ctx context.Context) (reports []WindowReport, retunes []
 				rep.Trigger = d.Reason
 				job := a.ctrl.launch(w, d.Reason, sqls, rep.Mix)
 				if a.opts.Sync {
-					<-job.done
-					retunes = append(retunes, job.rec)
-					if job.rec.Err == "" {
-						a.curName = job.rec.Name
-						firstFull = w + 1
-						lastPredicted = job.rec.PredictedMean
-					}
+					join(job, w+1)
 				} else {
 					pending = job
 				}
@@ -390,22 +390,28 @@ func (a *Autopilot) Run(ctx context.Context) (reports []WindowReport, retunes []
 // scaleWindow hands one window's digest to the elastic loop, if one is
 // configured: the report lowers to shard.WindowMetrics through the
 // ScaleMetrics bridge (batch windows have no admission queue, so queue
-// depth is 0) and the recommender/updater pair may reshard the cluster
-// between windows — the same code path the gateway's live autoscaler
-// drives.
+// depth is 0) — the same path the gateway's control goroutine scales
+// its closed windows through.
 func (a *Autopilot) scaleWindow(rep WindowReport) {
 	s := a.opts.Autoscale
 	if s == nil || s.Cluster == nil || s.Rec == nil || s.Upd == nil {
 		return
 	}
-	cur := shard.State{Shards: s.Cluster.Shards(), Pool: s.Cluster.Pool()}
-	s.Upd.Apply(s.Rec.Recommend(cur, rep.ScaleMetrics(0)))
+	s.Scale(rep.ScaleMetrics(0))
 }
 
 func sqlsOf(qs []workload.Query) []string {
 	out := make([]string, len(qs))
 	for i, q := range qs {
 		out[i] = q.SQL
+	}
+	return out
+}
+
+func familiesOf(qs []workload.Query) []string {
+	out := make([]string, len(qs))
+	for i, q := range qs {
+		out[i] = q.Family
 	}
 	return out
 }

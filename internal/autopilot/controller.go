@@ -39,19 +39,34 @@ type RetuneRecord struct {
 	Err    string
 }
 
-// controller decides when to retune and performs the retunes. Launching
-// and considering happen on the autopilot's loop goroutine; the retune
-// body itself may run concurrently with query traffic — its reads go
-// through the engine's what-if session (read lock) and its apply goes
-// through Transition (write lock), so traffic and tuning interleave
-// safely.
-type controller struct {
-	eng     *engine.Engine
-	runner  core.Runner
-	budget  int64
-	profile string // "A", "B", "C" or "1C"
-	recCfg  recommender.Config
-	timeout float64
+// DefaultMixShiftThreshold is the moved probability mass beyond which a
+// mix counts as shifted from the one last tuned for.
+const DefaultMixShiftThreshold = 0.25
+
+// ControllerOptions assembles a Controller.
+type ControllerOptions struct {
+	Engine      *engine.Engine
+	Profile     string  // "A", "B", "C", or "1C" for the reference configuration
+	Budget      int64   // storage budget in bytes
+	Parallelism int     // search and prediction fan-out (core.Runner semantics)
+	Timeout     float64 // caps each predicted query cost (0 = no cap)
+	Threshold   float64 // mix-shift threshold (0 = DefaultMixShiftThreshold)
+	// Apply installs a chosen configuration: Engine.Transition for the
+	// batch loop, the gateway's cluster-aware transition for the gateway.
+	Apply   func(conf.Configuration) (engine.BuildReport, error)
+	Metrics *Metrics // counts retunes when non-nil
+}
+
+// Controller decides when to retune and performs the retunes: consider
+// judges a window report; the retune recommends, what-if predicts and
+// applies. One goroutine owns the decision state (the batch loop's, or
+// the gateway's control goroutine) and alone calls Step or launch. The
+// retune body may run concurrently with traffic: it reads through the
+// what-if session (read lock) and applies through a transition (write
+// lock).
+type Controller struct {
+	o      ControllerOptions
+	recCfg recommender.Config
 
 	// threshold is the L1/2 mixture distance beyond which the observed
 	// mix counts as shifted from the one last tuned for.
@@ -67,8 +82,24 @@ type controller struct {
 	// Transition moves the engine's configuration epoch, so it stays
 	// correct across retunes.
 	whatif *engine.WhatIf
+}
 
-	metrics *Metrics
+// controller is the package's own spelling of Controller.
+type controller = Controller
+
+// NewController assembles a controller with its own what-if session.
+func NewController(o ControllerOptions) (*Controller, error) {
+	c := &Controller{o: o, threshold: o.Threshold, whatif: o.Engine.NewWhatIf()}
+	if c.threshold == 0 {
+		c.threshold = DefaultMixShiftThreshold
+	}
+	if o.Profile != "1C" {
+		var err error
+		if c.recCfg, err = recConfigOf(o.Profile); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
 }
 
 // consider inspects a window report and decides whether to retune. A
@@ -78,10 +109,10 @@ type controller struct {
 // problem would churn structures for nothing.
 //
 // conflint:pure — the controller's propose/apply split: deciding is an
-// observation of the report, and only launch (loop-goroutine-only)
+// observation of the report, and only begin (owner-goroutine-only)
 // commits state. A consider that mutated the controller could skew
 // every later window's decision.
-func (c *controller) consider(rep WindowReport) Decision {
+func (c *Controller) consider(rep WindowReport) Decision {
 	mix := proportions(rep.Mix)
 	shifted := c.lastTuneMix != nil && l1Half(mix, c.lastTuneMix) > c.threshold
 	violated := !rep.Satisfied
@@ -110,63 +141,77 @@ func l1Half(a, b []float64) float64 {
 	return d / 2
 }
 
+// Step is the synchronous control step: consider rep and, if it calls
+// for a retune, retune over sqls. ok is false when nothing changed.
+func (c *Controller) Step(rep WindowReport, sqls []string) (rec RetuneRecord, ok bool) {
+	d := c.consider(rep)
+	if !d.Retune {
+		return RetuneRecord{}, false
+	}
+	rec = c.begin(rep.Window, d.Reason, rep.Mix)
+	c.retune(&rec, sqls)
+	return rec, true
+}
+
 // retuneJob is one in-flight retune.
 type retuneJob struct {
 	done chan struct{}
 	rec  RetuneRecord
 }
 
-// launch starts a retune for the mix observed in qsMix over the window's
-// queries. Call only from the loop goroutine, and only with no other job
-// in flight. The epoch is assigned here so configuration names do not
-// depend on goroutine scheduling.
-func (c *controller) launch(window int, reason string, sqls []string, mix []FamilyCount) *retuneJob {
-	c.epoch++
-	name := fmt.Sprintf("R%d", c.epoch)
-	c.lastTuneMix = proportions(mix)
-	c.tunedThisMix = true
-	job := &retuneJob{done: make(chan struct{})}
-	job.rec = RetuneRecord{Window: window, Reason: reason, Name: name}
-	if c.metrics != nil {
-		c.metrics.RetunesInFlight.Add(1)
-	}
-	go c.retune(job, sqls)
+// launch is Step's retune half for the overlapped batch loop: the body
+// runs on its own goroutine. Call only with no other job in flight.
+func (c *Controller) launch(window int, reason string, sqls []string, mix []FamilyCount) *retuneJob {
+	job := &retuneJob{done: make(chan struct{}), rec: c.begin(window, reason, mix)}
+	go func() {
+		defer close(job.done)
+		c.retune(&job.rec, sqls)
+	}()
 	return job
 }
 
-// retune recommends, predicts and transitions. It runs off the loop
-// goroutine in overlapped mode; everything it touches on the engine is
-// lock-protected.
-func (c *controller) retune(job *retuneJob, sqls []string) {
-	defer close(job.done)
+// begin commits a decision on the owner's goroutine, so configuration
+// names never depend on scheduling.
+func (c *Controller) begin(window int, reason string, mix []FamilyCount) RetuneRecord {
+	c.epoch++
+	c.lastTuneMix = proportions(mix)
+	c.tunedThisMix = true
+	if c.o.Metrics != nil {
+		c.o.Metrics.RetunesInFlight.Add(1)
+	}
+	return RetuneRecord{Window: window, Reason: reason, Name: fmt.Sprintf("R%d", c.epoch)}
+}
+
+// retune recommends, predicts and applies, filling rec.
+func (c *Controller) retune(rec *RetuneRecord, sqls []string) {
 	// conflint:ignore WallMS is wall-clock observability for the operator; it is excluded from all rendered reports
 	start := time.Now()
-	rec := &job.rec
 	defer func() {
 		// conflint:ignore WallMS is wall-clock observability for the operator; it is excluded from all rendered reports
 		rec.WallMS = time.Since(start).Milliseconds()
-		if c.metrics != nil {
-			c.metrics.RetunesInFlight.Add(-1)
-			c.metrics.RetuneWallMS.Add(rec.WallMS)
+		if c.o.Metrics != nil {
+			c.o.Metrics.RetunesInFlight.Add(-1)
+			c.o.Metrics.RetuneWallMS.Add(rec.WallMS)
 			if rec.Err == "" {
-				c.metrics.RetunesApplied.Add(1)
-				c.metrics.StructuresBuilt.Add(int64(rec.Built))
-				c.metrics.StructuresDropped.Add(int64(rec.Dropped))
+				c.o.Metrics.RetunesApplied.Add(1)
+				c.o.Metrics.StructuresBuilt.Add(int64(rec.Built))
+				c.o.Metrics.StructuresDropped.Add(int64(rec.Dropped))
 			} else {
-				c.metrics.RetuneErrors.Add(1)
+				c.o.Metrics.RetuneErrors.Add(1)
 			}
 		}
 	}()
 
+	runner := core.Runner{Parallelism: c.o.Parallelism}
 	var cfg conf.Configuration
-	if c.profile == "1C" {
-		cfg = engine.OneColumnConfiguration(c.eng)
+	if c.o.Profile == "1C" {
+		cfg = engine.OneColumnConfiguration(c.o.Engine)
 	} else {
 		var err error
-		cfg, err = recommender.New(c.eng, c.recCfg).
-			Parallel(c.runner.Parallelism).
+		cfg, err = recommender.New(c.o.Engine, c.recCfg).
+			Parallel(runner.Parallelism).
 			UseSession(c.whatif).
-			Recommend(dedupe(sqls), c.budget)
+			Recommend(dedupe(sqls), c.o.Budget)
 		if err != nil {
 			rec.Err = err.Error()
 			return
@@ -178,7 +223,7 @@ func (c *controller) retune(job *retuneJob, sqls []string) {
 	// queries under the candidate, seen from the current configuration.
 	// The prediction reuses the search's session, so the winning
 	// configuration's estimates are usually already cached.
-	hyp, err := c.runner.WhatIfSessionWorkload(c.whatif, sqls, cfg)
+	hyp, err := runner.WhatIfSessionWorkload(c.whatif, sqls, cfg)
 	if err != nil {
 		rec.Err = err.Error()
 		return
@@ -186,8 +231,8 @@ func (c *controller) retune(job *retuneJob, sqls []string) {
 	var total float64
 	for _, m := range hyp {
 		s := m.Seconds
-		if c.timeout > 0 && s > c.timeout {
-			s = c.timeout
+		if c.o.Timeout > 0 && s > c.o.Timeout {
+			s = c.o.Timeout
 		}
 		total += s
 	}
@@ -195,7 +240,7 @@ func (c *controller) retune(job *retuneJob, sqls []string) {
 		rec.PredictedMean = total / float64(len(hyp))
 	}
 
-	rep, err := c.eng.Transition(cfg)
+	rep, err := c.o.Apply(cfg)
 	if err != nil {
 		rec.Err = err.Error()
 		return

@@ -2,14 +2,14 @@ package autopilot
 
 import (
 	"encoding/json"
-	"fmt"
-	"math"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/promtext"
 )
 
 // Metrics is the autopilot's observability surface: lock-free counters
@@ -96,22 +96,15 @@ type WindowRow struct {
 	Satisfaction float64 `json:"goal_satisfaction"`
 }
 
-func finite(x float64) float64 {
-	if math.IsInf(x, 0) || math.IsNaN(x) {
-		return -1
-	}
-	return x
-}
-
 func rowOf(rep WindowReport) *WindowRow {
 	return &WindowRow{
 		Window:       rep.Window,
 		Config:       rep.Config,
 		Queries:      rep.Queries,
-		P50:          finite(rep.P50),
-		P95:          finite(rep.P95),
-		P99:          finite(rep.P99),
-		MeanSeconds:  finite(rep.MeanSeconds),
+		P50:          promtext.Finite(rep.P50),
+		P95:          promtext.Finite(rep.P95),
+		P99:          promtext.Finite(rep.P99),
+		MeanSeconds:  promtext.Finite(rep.MeanSeconds),
 		Timeouts:     rep.Timeouts,
 		EAMedian:     rep.EAMedian,
 		EAP90:        rep.EAP90,
@@ -155,33 +148,32 @@ func (m *Metrics) Handler() http.Handler {
 
 func (m *Metrics) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	s := m.Snapshot()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "autopilot_uptime_seconds %g\n", s.UptimeSeconds)
-	fmt.Fprintf(w, "autopilot_queries_served_total %d\n", s.QueriesServed)
-	fmt.Fprintf(w, "autopilot_query_timeouts_total %d\n", s.Timeouts)
-	fmt.Fprintf(w, "autopilot_windows_completed_total %d\n", s.WindowsCompleted)
-	fmt.Fprintf(w, "autopilot_goal_violations_total %d\n", s.GoalViolations)
-	fmt.Fprintf(w, "autopilot_retunes_applied_total %d\n", s.RetunesApplied)
-	fmt.Fprintf(w, "autopilot_retune_errors_total %d\n", s.RetuneErrors)
-	fmt.Fprintf(w, "autopilot_retunes_in_flight %d\n", s.RetunesInFlight)
-	fmt.Fprintf(w, "autopilot_structures_built_total %d\n", s.StructuresBuilt)
-	fmt.Fprintf(w, "autopilot_structures_dropped_total %d\n", s.StructuresDropped)
-	fmt.Fprintf(w, "autopilot_retune_wall_ms_total %d\n", s.RetuneWallMS)
+	var p promtext.Writer
+	p.Metric("autopilot_uptime_seconds", "gauge", "Seconds since the autopilot started.", s.UptimeSeconds)
+	p.Metric("autopilot_queries_served_total", "counter", "Queries completed across all windows.", float64(s.QueriesServed))
+	p.Metric("autopilot_query_timeouts_total", "counter", "Queries that hit the simulated timeout.", float64(s.Timeouts))
+	p.Metric("autopilot_windows_completed_total", "counter", "Observation windows completed.", float64(s.WindowsCompleted))
+	p.Metric("autopilot_goal_violations_total", "counter", "Windows whose CFC missed the goal.", float64(s.GoalViolations))
+	p.Metric("autopilot_retunes_applied_total", "counter", "Retunes whose configuration was applied.", float64(s.RetunesApplied))
+	p.Metric("autopilot_retune_errors_total", "counter", "Retunes that failed before applying.", float64(s.RetuneErrors))
+	p.Metric("autopilot_retunes_in_flight", "gauge", "Retunes running right now.", float64(s.RetunesInFlight))
+	p.Metric("autopilot_structures_built_total", "counter", "Indexes and views built by retunes.", float64(s.StructuresBuilt))
+	p.Metric("autopilot_structures_dropped_total", "counter", "Indexes and views dropped by retunes.", float64(s.StructuresDropped))
+	p.Metric("autopilot_retune_wall_ms_total", "counter", "Wall-clock milliseconds spent retuning.", float64(s.RetuneWallMS))
 	if lw := s.LastWindow; lw != nil {
-		fmt.Fprintf(w, "autopilot_window_index %d\n", lw.Window)
-		fmt.Fprintf(w, "autopilot_window_p50_seconds %g\n", lw.P50)
-		fmt.Fprintf(w, "autopilot_window_p95_seconds %g\n", lw.P95)
-		fmt.Fprintf(w, "autopilot_window_p99_seconds %g\n", lw.P99)
-		fmt.Fprintf(w, "autopilot_window_mean_seconds %g\n", lw.MeanSeconds)
-		fmt.Fprintf(w, "autopilot_window_ea_ratio_p50 %g\n", lw.EAMedian)
-		fmt.Fprintf(w, "autopilot_window_ea_ratio_p90 %g\n", lw.EAP90)
-		sat := 0
-		if lw.Satisfied {
-			sat = 1
-		}
-		fmt.Fprintf(w, "autopilot_window_goal_satisfied %d\n", sat)
-		fmt.Fprintf(w, "autopilot_window_goal_satisfaction %g\n", lw.Satisfaction)
+		p.Metric("autopilot_window_index", "gauge", "Index of the last completed window.", float64(lw.Window))
+		p.Metric("autopilot_window_p50_seconds", "gauge", "Last window's median simulated latency (-1 when among timeouts).", lw.P50)
+		p.Metric("autopilot_window_p95_seconds", "gauge", "Last window's p95 simulated latency (-1 when among timeouts).", lw.P95)
+		p.Metric("autopilot_window_p99_seconds", "gauge", "Last window's p99 simulated latency (-1 when among timeouts).", lw.P99)
+		p.Metric("autopilot_window_mean_seconds", "gauge", "Last window's mean simulated latency, timeouts at the limit.", lw.MeanSeconds)
+		p.Metric("autopilot_window_ea_ratio_p50", "gauge", "Last window's median estimate-to-actual ratio.", lw.EAMedian)
+		p.Metric("autopilot_window_ea_ratio_p90", "gauge", "Last window's p90 estimate-to-actual ratio.", lw.EAP90)
+		p.Metric("autopilot_window_goal_satisfied", "gauge", "1 when the last window met the goal.", promtext.Bool(lw.Satisfied))
+		p.Metric("autopilot_window_goal_satisfaction", "gauge", "Last window's graded goal satisfaction in [0,1].", lw.Satisfaction)
 	}
+	w.Header().Set("Content-Type", promtext.ContentType)
+	// conflint:ignore best-effort write to a scraper that may have disconnected; nothing to do with the error
+	io.WriteString(w, p.String())
 }
 
 func (m *Metrics) serveHealth(w http.ResponseWriter, _ *http.Request) {

@@ -70,6 +70,26 @@ func (r WindowReport) ScaleMetrics(queueDepth float64) shard.WindowMetrics {
 	}
 }
 
+// Grade is the window grader: the window's CFC collapsed to its
+// quantiles, the mean with each timeout at the limit (the §4.3
+// TotalLowerBound), and the goal verdict, boolean and graded. The caller
+// labels the rest of the report.
+//
+// conflint:pure — grading is an observation of the window.
+func Grade(goal core.Goal, ms []core.Measure, timeout float64) WindowReport {
+	cfc := core.NewCFC(ms, timeout)
+	return WindowReport{
+		Queries:      len(ms),
+		MeanSeconds:  cfc.Mean(),
+		P50:          cfc.Quantile(0.50),
+		P95:          cfc.Quantile(0.95),
+		P99:          cfc.Quantile(0.99),
+		Timeouts:     cfc.Timeouts(),
+		Satisfied:    goal.Satisfied(cfc),
+		Satisfaction: goal.Satisfaction(cfc),
+	}
+}
+
 // observer turns raw window traffic into WindowReports.
 type observer struct {
 	goal     core.Goal
@@ -77,22 +97,13 @@ type observer struct {
 	famOrder []string
 }
 
-// observe digests one window. ms and est are parallel to qs.
+// observe digests one window: Grade plus the mix and E/A ratios. ms
+// and est are parallel to qs.
 func (o *observer) observe(w int, cfgName string, qs []workload.Query, ms, est []core.Measure) WindowReport {
-	cfc := core.NewCFC(ms, o.timeout)
-	rep := WindowReport{
-		Window:       w,
-		Config:       cfgName,
-		Queries:      len(ms),
-		Mix:          countMix(qs, o.famOrder),
-		MeanSeconds:  cfc.Mean(),
-		P50:          cfc.Quantile(0.50),
-		P95:          cfc.Quantile(0.95),
-		P99:          cfc.Quantile(0.99),
-		Timeouts:     cfc.Timeouts(),
-		Satisfied:    o.goal.Satisfied(cfc),
-		Satisfaction: o.goal.Satisfaction(cfc),
-	}
+	rep := Grade(o.goal, ms, o.timeout)
+	rep.Window = w
+	rep.Config = cfgName
+	rep.Mix = CountMix(familiesOf(qs), o.famOrder)
 	ratios := make([]float64, 0, len(ms))
 	for i := range ms {
 		if i >= len(est) || ms[i].TimedOut || ms[i].Seconds <= 0 {
@@ -106,11 +117,11 @@ func (o *observer) observe(w int, cfgName string, qs []workload.Query, ms, est [
 	return rep
 }
 
-// countMix tallies the window's queries per family, in famOrder.
-func countMix(qs []workload.Query, famOrder []string) []FamilyCount {
-	counts := make(map[string]int)
-	for _, q := range qs {
-		counts[q.Family]++
+// CountMix tallies a window's families, in famOrder.
+func CountMix(families, famOrder []string) []FamilyCount {
+	counts := make(map[string]int, len(famOrder))
+	for _, f := range families {
+		counts[f]++
 	}
 	out := make([]FamilyCount, len(famOrder))
 	for i, f := range famOrder {

@@ -45,10 +45,10 @@ func (g *Gateway) pump(t *tenantState) {
 }
 
 // finish closes out one admitted query: audit record first, then the
-// tenant's accounting, then the tuner nudge, then the reply, and the
-// drain ticket last — so by the time Shutdown's drain wait returns,
-// every accepted query has its completion on the audit log (the
-// zero-dropped-after-accept contract).
+// tenant's accounting, then the control loop's nudge and autoscale
+// window, then the reply, and the drain ticket last — so by the time
+// Shutdown's drain wait returns, every accepted query has its completion
+// on the audit log (the zero-dropped-after-accept contract).
 func (g *Gateway) finish(j *job, res *exec.Result, m engine.Measure, err error) {
 	rec := AuditRecord{
 		Seq:      j.seq,
@@ -69,14 +69,14 @@ func (g *Gateway) finish(j *job, res *exec.Result, m engine.Measure, err error) 
 		}
 	}
 	g.audit.add(rec)
-	violated := j.tenant.noteCompleted(j.sqlText, m.Seconds, m.TimedOut, err != nil)
-	if violated {
-		if tn := g.tunerP.Load(); tn != nil {
-			tn.signal(j.tenant.cfg.Name)
+	violated := j.tenant.noteFinished(j.family, j.sqlText, m.Seconds, m.TimedOut, err != nil)
+	if c := g.ctrlP.Load(); c != nil {
+		if violated && c.tuner != nil {
+			c.nudgeTuner()
 		}
-	}
-	if as := g.autoP.Load(); as != nil {
-		as.observe(m.Seconds, m.TimedOut, err != nil)
+		if c.scale != nil {
+			c.observe(m.Seconds, m.TimedOut, err != nil)
+		}
 	}
 	j.reply <- jobResult{res: res, m: m, err: err} // conflint:ignore reply is buffered (cap 1) with exactly one send per job, so this never blocks
 	g.drainWG.Done()

@@ -32,9 +32,10 @@ type Config struct {
 	MaxBodyBytes int64 `json:"max_body_bytes"`
 	// TimeoutSeconds is the per-query simulated timeout.
 	TimeoutSeconds float64 `json:"timeout_seconds"`
-	// Tuning enables the per-tenant goal tuner: a sliding-window goal
-	// violation on any tenant triggers a recommender run and an
-	// incremental engine transition while traffic keeps flowing.
+	// Tuning enables goal-driven retuning: a sliding-window goal
+	// violation on any tenant nudges the autopilot's retune controller,
+	// which may run the recommender and an incremental engine transition
+	// while traffic keeps flowing.
 	Tuning bool `json:"tuning"`
 
 	// Shards > 1 serves queries through a partition-parallel shard
@@ -109,7 +110,7 @@ type TenantConfig struct {
 	// ("60:0.50,400:0.95"); empty means the paper's Example 2 goal.
 	Goal string `json:"goal,omitempty"`
 	// Window is the sliding observation window (completed queries) the
-	// tuner judges the goal over.
+	// goal is judged over.
 	Window int `json:"window"`
 }
 

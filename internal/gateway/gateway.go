@@ -10,9 +10,10 @@
 // enforces read-only SQL; admission is a bounded per-tenant queue
 // (backpressure via 429 + Retry-After) drained by per-tenant pumps under
 // a global in-flight cap. Each tenant carries its own goal curve G(x)
-// and sliding-window observer, so a violating tenant nudges the tuner
-// into a recommender run and an incremental engine transition while
-// traffic keeps flowing.
+// and sliding window, graded by the autopilot's window grader; a
+// violating tenant nudges the gateway's one control goroutine, where the
+// autopilot's retune controller decides on a recommender run and an
+// incremental engine transition while traffic keeps flowing.
 //
 // All query timing is simulated seconds from the engine's cost meters;
 // wall-clock never enters an audit record or goal ledger, which is what
@@ -26,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,20 +36,19 @@ import (
 	"repro/internal/conf"
 	"repro/internal/engine"
 	"repro/internal/exec"
-	"repro/internal/recommender"
 	"repro/internal/shard"
 	"repro/internal/sql"
 )
 
 // Backend is the loaded serving substrate: the engine plus the sampled
 // per-family query pools clients draw from and the storage budget the
-// tuner recommends under.
+// retune controller recommends under.
 type Backend struct {
 	Engine *engine.Engine
 	// Pools maps family name → sampled SQL texts (served by /v1/pool so
 	// load generators need no local catalog).
 	Pools map[string][]string
-	// Budget is the tuner's storage budget in bytes.
+	// Budget is the retune controller's storage budget in bytes.
 	Budget int64
 	// Cluster, when non-nil, serves queries partition-parallel over the
 	// engine. load builds one from the config when sharding or
@@ -78,8 +79,11 @@ type Gateway struct {
 	tenants     map[string]*tenantState
 	byKey       map[string]*tenantState
 	tenantOrder []string
-	mux         *http.ServeMux
-	audit       *auditor
+	// famOrder is every granted family once, in tenant config order: the
+	// order the retune controller's mix is counted in.
+	famOrder []string
+	mux      *http.ServeMux
+	audit    *auditor
 
 	// gate is the global in-flight cap: pumps hold a slot while a query
 	// executes, bounding engine load across all tenants.
@@ -89,8 +93,7 @@ type Gateway struct {
 	rejected atomic.Int64
 
 	backend atomic.Pointer[Backend]
-	tunerP  atomic.Pointer[tuner]
-	autoP   atomic.Pointer[autoscaler]
+	ctrlP   atomic.Pointer[control]
 	readyCh chan struct{}
 	loadMu  sync.Mutex
 	loadErr error // conflint:guardedby loadMu
@@ -107,18 +110,6 @@ type Gateway struct {
 	// shutdownErr is written only inside shutdown1.Do and read after it
 	// returns; the Once's happens-before edge orders the two.
 	shutdownErr error
-}
-
-// recConfigOf maps the serving profile to its recommender behaviors.
-func recConfigOf(system string) recommender.Config {
-	switch system {
-	case "A":
-		return recommender.SystemA()
-	case "C":
-		return recommender.SystemC()
-	default:
-		return recommender.SystemB()
-	}
 }
 
 // BuildBackend loads the engine and family pools through a bench.Lab —
@@ -175,6 +166,11 @@ func New(opts Options) (*Gateway, error) {
 		g.tenants[t.cfg.Name] = t
 		g.byKey[t.cfg.APIKey] = t
 		g.tenantOrder = append(g.tenantOrder, t.cfg.Name)
+		for _, f := range t.cfg.Families {
+			if !slices.Contains(g.famOrder, f) {
+				g.famOrder = append(g.famOrder, f)
+			}
+		}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/query", g.handleQuery)
@@ -199,7 +195,7 @@ func New(opts Options) (*Gateway, error) {
 }
 
 // load builds the backend and — unless shutdown already began — starts
-// the pumps and tuner and flips readiness.
+// the pumps and the control goroutine and flips readiness.
 func (g *Gateway) load(build func(Config) (*Backend, error)) {
 	defer close(g.readyCh)
 	b, err := build(g.cfg)
@@ -218,6 +214,10 @@ func (g *Gateway) load(build func(Config) (*Backend, error)) {
 			b = &nb
 		}
 	}
+	var ctl *control
+	if err == nil {
+		ctl, err = newControl(g, b)
+	}
 	if err != nil {
 		g.loadMu.Lock()
 		g.loadErr = err
@@ -230,15 +230,9 @@ func (g *Gateway) load(build func(Config) (*Backend, error)) {
 		return
 	}
 	g.backend.Store(b)
-	if g.cfg.Tuning {
-		tn := newTuner(g, recConfigOf(g.cfg.System), b.Engine.NewWhatIf(), b.Budget)
-		g.tunerP.Store(tn)
-		tn.start()
-	}
-	if g.cfg.Autoscale && b.Cluster != nil {
-		as := newAutoscaler(g, b.Cluster)
-		g.autoP.Store(as)
-		as.start()
+	if ctl != nil {
+		g.ctrlP.Store(ctl)
+		ctl.start()
 	}
 	for _, name := range g.tenantOrder {
 		t := g.tenants[name]
@@ -269,13 +263,11 @@ func (g *Gateway) run(q *sql.Query, limitSeconds float64) (*exec.Result, engine.
 
 // transition applies a configuration through the cluster when sharded,
 // so partitions pick up the base-table structures too.
-func (g *Gateway) transition(cfg conf.Configuration) error {
+func (g *Gateway) transition(cfg conf.Configuration) (engine.BuildReport, error) {
 	if cl := g.cluster(); cl != nil {
-		_, err := cl.Transition(cfg)
-		return err
+		return cl.Transition(cfg)
 	}
-	_, err := g.eng().Transition(cfg)
-	return err
+	return g.eng().Transition(cfg)
 }
 
 // Ready reports whether the catalog is loaded and admission is open.
@@ -548,7 +540,8 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // Shutdown drains and stops: close admission, wait for every accepted
 // query to complete (each leaves its audit record before the drain
 // ticket returns — the zero-dropped-after-accept contract), stop the
-// pumps, then join the tuner so no Transition is abandoned mid-build.
+// pumps, then join the control goroutine so no Transition or reshard is
+// abandoned midway.
 // Only after Shutdown returns should the caller close its listener.
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.shutdown1.Do(func() {
@@ -585,11 +578,8 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 		case <-pumps:
 		}
 
-		if tn := g.tunerP.Load(); tn != nil {
-			tn.stop()
-		}
-		if as := g.autoP.Load(); as != nil {
-			as.stop()
+		if c := g.ctrlP.Load(); c != nil {
+			c.stop()
 		}
 	})
 	return g.shutdownErr

@@ -1,14 +1,15 @@
 package gateway
 
 import (
-	"sort"
 	"sync"
 
+	"repro/internal/autopilot"
 	"repro/internal/core"
+	"repro/internal/promtext"
 )
 
 // recentSQLCap bounds the per-tenant ring of recently served distinct
-// queries the tuner recommends over.
+// queries the retune controller recommends over.
 const recentSQLCap = 64
 
 // tenantState is one tenant's runtime: the admission queue its pumps
@@ -44,12 +45,13 @@ type tenantState struct {
 	recentSQL  []string      // conflint:guardedby mu (ring of recent query texts)
 	recentSet  map[string]bool
 	recentPos  int
-	lastTuneAt int64 // conflint:guardedby mu (completed count at last tuner signal)
+	lastTuneAt int64 // conflint:guardedby mu (completed count at the last nudge)
 }
 
 type windowEntry struct {
 	seconds  float64
 	timedOut bool
+	family   string
 }
 
 func newTenantState(cfg TenantConfig) *tenantState {
@@ -83,10 +85,11 @@ func (t *tenantState) noteRejected(reason string) {
 	t.mu.Unlock()
 }
 
-// noteCompleted folds one finished query into the cumulative and
-// sliding-window accounting, and reports whether the tenant's sliding
-// window is full and in violation of its goal — the tuner trigger.
-func (t *tenantState) noteCompleted(sqlText string, seconds float64, timedOut, errored bool) bool {
+// noteFinished folds one finished query of the given family into the
+// cumulative and sliding-window accounting, and reports whether the
+// tenant's sliding window is full and in violation of its goal — the
+// nudge to the retune controller, at most once per Window completions.
+func (t *tenantState) noteFinished(family, sqlText string, seconds float64, timedOut, errored bool) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.completed++
@@ -106,9 +109,9 @@ func (t *tenantState) noteCompleted(sqlText string, seconds float64, timedOut, e
 	}
 
 	if len(t.window) < t.cfg.Window {
-		t.window = append(t.window, windowEntry{seconds, timedOut})
+		t.window = append(t.window, windowEntry{seconds, timedOut, family})
 	} else {
-		t.window[t.windowPos] = windowEntry{seconds, timedOut}
+		t.window[t.windowPos] = windowEntry{seconds, timedOut, family}
 		t.windowPos = (t.windowPos + 1) % t.cfg.Window
 	}
 
@@ -129,20 +132,22 @@ func (t *tenantState) noteCompleted(sqlText string, seconds float64, timedOut, e
 	if t.completed-t.lastTuneAt < int64(t.cfg.Window) {
 		return false
 	}
-	if t.windowGoalLevelLocked() >= 1 {
+	if t.gradeWindowLocked().Satisfied {
 		return false
 	}
 	t.lastTuneAt = t.completed
 	return true
 }
 
-// windowGoalLevelLocked grades the sliding window against the goal.
-func (t *tenantState) windowGoalLevelLocked() float64 {
+// gradeWindowLocked grades the sliding window with the autopilot's
+// window grader. No timeout is passed: it moves only the window mean,
+// which no tenant surface reads.
+func (t *tenantState) gradeWindowLocked() autopilot.WindowReport {
 	ms := make([]core.Measure, len(t.window))
 	for i, w := range t.window {
 		ms[i] = core.Measure{Seconds: w.seconds, TimedOut: w.timedOut}
 	}
-	return t.goal.Satisfaction(core.NewCFC(ms, 0))
+	return autopilot.Grade(t.goal, ms, 0)
 }
 
 // goalLevelLocked grades the cumulative run: the fraction of goal steps
@@ -167,15 +172,22 @@ func (t *tenantState) goalLevelLocked() float64 {
 	return float64(met) / float64(len(t.goal.Steps))
 }
 
-// recentQueries copies the distinct recent query texts, sorted (the
-// tuner wants the workload's support in a deterministic order).
-func (t *tenantState) recentQueries() []string {
+// appendRecentQueries appends the distinct recent query texts to dst.
+func (t *tenantState) appendRecentQueries(dst []string) []string {
 	t.mu.Lock()
-	out := make([]string, len(t.recentSQL))
-	copy(out, t.recentSQL)
-	t.mu.Unlock()
-	sort.Strings(out)
-	return out
+	defer t.mu.Unlock()
+	return append(dst, t.recentSQL...)
+}
+
+// appendWindowFamilies appends the family of every sliding-window entry
+// to dst.
+func (t *tenantState) appendWindowFamilies(dst []string) []string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, w := range t.window {
+		dst = append(dst, w.family)
+	}
+	return dst
 }
 
 // TenantSnapshot is the per-tenant observability record served by
@@ -230,16 +242,12 @@ func (t *tenantState) snapshot() TenantSnapshot {
 		}
 	}
 	if len(t.window) > 0 {
-		ms := make([]core.Measure, len(t.window))
-		for i, w := range t.window {
-			ms[i] = core.Measure{Seconds: w.seconds, TimedOut: w.timedOut}
-		}
-		cfc := core.NewCFC(ms, 0)
+		rep := t.gradeWindowLocked()
 		if len(t.window) == t.cfg.Window {
-			s.WindowGoalLevel = t.goal.Satisfaction(cfc)
+			s.WindowGoalLevel = rep.Satisfaction
 		}
-		s.WindowP50 = finiteOrNeg(cfc.Quantile(0.50))
-		s.WindowP95 = finiteOrNeg(cfc.Quantile(0.95))
+		s.WindowP50 = promtext.Finite(rep.P50)
+		s.WindowP95 = promtext.Finite(rep.P95)
 	}
 	return s
 }

@@ -185,11 +185,10 @@ func TestExchangeBuckets(t *testing.T) {
 	}
 }
 
-// TestPartitionStatsSurface pins the what-if surface over partition
-// statistics: PartitionPhysical exposes per-partition cardinalities that
-// sum to the coordinator's, EstimateSharded costs one optimizer pass per
-// partition, and the coordinator's own estimates — the recommendation
-// input — do not move when the topology does.
+// TestPartitionStatsSurface pins the partition statistics: each
+// partition's cardinalities sum to the coordinator's, and the
+// coordinator's own estimates — the recommendation input — do not move
+// when the topology does.
 func TestPartitionStatsSurface(t *testing.T) {
 	coord := testCoord(t)
 	q := clusterQueries[1]
@@ -202,14 +201,14 @@ func TestPartitionStatsSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	top, _ := cl.snapshot()
+	if len(top.shards) != 4 {
+		t.Fatalf("4-shard topology has %d partitions", len(top.shards))
+	}
 	for _, tab := range coord.Schema.Tables() {
 		var sum int64
-		for i := 0; i < 4; i++ {
-			phys, err := cl.PartitionPhysical(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ti := phys.Table(tab.Name)
+		for i, part := range top.shards {
+			ti := part.Physical().Table(tab.Name)
 			if ti == nil {
 				t.Fatalf("partition %d has no table %s", i, tab.Name)
 			}
@@ -217,27 +216,6 @@ func TestPartitionStatsSurface(t *testing.T) {
 		}
 		if want := coord.Physical().Table(tab.Name).Stats.Rows; sum != want {
 			t.Errorf("%s: partition stats sum to %d rows, coordinator has %d", tab.Name, sum, want)
-		}
-	}
-	if _, err := cl.PartitionPhysical(4); err == nil {
-		t.Error("PartitionPhysical(4) on a 4-shard topology succeeded, want error")
-	}
-	if _, err := cl.PartitionPhysical(-1); err == nil {
-		t.Error("PartitionPhysical(-1) succeeded, want error")
-	}
-
-	for _, sqlText := range []string{clusterQueries[1], clusterQueries[4]} {
-		ms, err := cl.EstimateSharded(sqlText)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ms) != 4 {
-			t.Fatalf("EstimateSharded returned %d measures, want 4", len(ms))
-		}
-		for i, m := range ms {
-			if m.Seconds <= 0 {
-				t.Errorf("partition %d estimate is %v seconds, want > 0", i, m.Seconds)
-			}
 		}
 	}
 
@@ -252,29 +230,6 @@ func TestPartitionStatsSurface(t *testing.T) {
 	}
 	if after.Seconds != base.Seconds {
 		t.Errorf("coordinator estimate moved across Reshard: %v != %v", after.Seconds, base.Seconds)
-	}
-
-	// The 1-shard topology exposes the coordinator as partition 0.
-	cl1, err := New(coord, Spec{Shards: 1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phys0, err := cl1.PartitionPhysical(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := phys0.Table("taxonomy").Stats.Rows, coord.Physical().Table("taxonomy").Stats.Rows; got != want {
-		t.Errorf("1-shard partition 0 has %d taxonomy rows, coordinator has %d", got, want)
-	}
-	if _, err := cl1.PartitionPhysical(1); err == nil {
-		t.Error("PartitionPhysical(1) on a 1-shard topology succeeded, want error")
-	}
-	ms, err := cl1.EstimateSharded(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 1 || ms[0].Seconds != base.Seconds {
-		t.Errorf("1-shard EstimateSharded = %+v, want the coordinator estimate (%v s)", ms, base.Seconds)
 	}
 }
 
