@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmtcheck lint lint-fix-hints lint-fix bench fuzz autopilot-smoke whatif-smoke gateway-smoke shard-smoke verify
+.PHONY: build test race vet fmtcheck lint lint-fix-hints lint-fix bench fuzz autopilot-smoke whatif-smoke gateway-smoke shard-smoke perf-smoke verify
 
 build:
 	$(GO) build ./...
@@ -88,4 +88,14 @@ gateway-smoke:
 shard-smoke:
 	$(GO) run ./cmd/shardbench -smoke -o BENCH_shard.json
 
-verify: build test race vet fmtcheck lint autopilot-smoke whatif-smoke gateway-smoke shard-smoke
+# One short run of each wall-clock benchmark workload. Every run checks
+# each output against perfbench/pinned.json (query results and simulated
+# seconds) and exits nonzero on a mismatch, so a moved sim second fails
+# verify rather than only the benchmark. The runs build into the
+# git-ignored .bench_build/.
+perf-smoke:
+	@set -e; for w in serve evaluate tune; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0; \
+	done
+
+verify: build test race vet fmtcheck lint autopilot-smoke whatif-smoke gateway-smoke shard-smoke perf-smoke

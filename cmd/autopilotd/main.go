@@ -80,7 +80,6 @@ func main() {
 	threshold := flag.Float64("mix-threshold", 0.25, "mixture shift detection threshold (moved probability mass)")
 	timeout := flag.Float64("timeout", core.DefaultTimeout, "per-query simulated timeout in seconds")
 	syncT := flag.Bool("sync", false, "apply transitions at window boundaries (deterministic) instead of overlapping traffic")
-	whatifCache := flag.String("whatif-cache", "on", "what-if estimate cache: on, or off for the pre-cache estimation path (reports are identical; retunes get slower)")
 	static := flag.Bool("static", false, "freeze the configuration after warmup (decaying baseline)")
 	noWarmup := flag.Bool("no-warmup", false, "skip the initial warmup tune (start serving under P)")
 	compare := flag.Bool("compare", false, "also run the static baseline on the identical stream and print both")
@@ -97,9 +96,6 @@ func main() {
 	}
 	if *parallel < 0 {
 		usageErr("autopilotd: -parallel must be >= 0, got %d", *parallel)
-	}
-	if *whatifCache != "on" && *whatifCache != "off" {
-		usageErr("autopilotd: -whatif-cache must be on or off, got %q", *whatifCache)
 	}
 
 	// Nonsensical flag combinations are usage errors, not silent surprises.
@@ -146,7 +142,6 @@ func main() {
 		Sync:              *syncT,
 		Static:            *static,
 		Warmup:            !*noWarmup,
-		NoWhatIfCache:     *whatifCache == "off",
 	}
 	if *goalSpec != "" {
 		if opts.Goal, err = core.ParseGoal(*goalSpec); err != nil {

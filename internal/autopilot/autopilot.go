@@ -92,11 +92,6 @@ type Options struct {
 	// baseline the drift experiment compares against.
 	Static bool
 
-	// NoWhatIfCache disables the engine's what-if estimate cache (the
-	// -whatif-cache=off escape hatch). Reports are byte-identical either
-	// way; only retune wall time changes.
-	NoWhatIfCache bool
-
 	// Autoscale, when non-nil, feeds every window report through the
 	// shard autoscaler's recommend/apply loop (the ScaleMetrics bridge) —
 	// the batch counterpart of the gateway's live elastic loop. The
@@ -161,19 +156,6 @@ type Autopilot struct {
 	curName string
 }
 
-// recConfigOf maps a recommender profile name ("1C" handled upstream).
-func recConfigOf(name string) (recommender.Config, error) {
-	switch name {
-	case "A":
-		return recommender.SystemA(), nil
-	case "B":
-		return recommender.SystemB(), nil
-	case "C":
-		return recommender.SystemC(), nil
-	}
-	return recommender.Config{}, fmt.Errorf("autopilot: unknown recommender %q", name)
-}
-
 // New loads the engine and family pools through a bench.Lab (the PR 1
 // substrate: loading, stratified sampling and the storage budget are the
 // batch benchmark's own) and assembles the control loop. The lab is not
@@ -198,15 +180,14 @@ func New(opts Options) (*Autopilot, error) {
 		}
 	}
 	if opts.Recommender != "1C" {
-		if _, err := recConfigOf(opts.Recommender); err != nil {
-			return nil, err
+		if _, err := recommender.ConfigOf(opts.Recommender); err != nil {
+			return nil, fmt.Errorf("autopilot: %w", err)
 		}
 	}
 
 	lab := bench.NewLab(opts.Scale, opts.Seed)
 	lab.WorkloadSize = opts.PoolSize
 	lab.Parallelism = opts.Parallelism
-	lab.DisableWhatIfCache = opts.NoWhatIfCache
 
 	famOrder := make([]string, len(opts.Families))
 	pools := make([]workload.Family, len(opts.Families))

@@ -95,8 +95,8 @@ func NewController(o ControllerOptions) (*Controller, error) {
 	}
 	if o.Profile != "1C" {
 		var err error
-		if c.recCfg, err = recConfigOf(o.Profile); err != nil {
-			return nil, err
+		if c.recCfg, err = recommender.ConfigOf(o.Profile); err != nil {
+			return nil, fmt.Errorf("autopilot: %w", err)
 		}
 	}
 	return c, nil

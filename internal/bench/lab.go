@@ -47,8 +47,9 @@ type Lab struct {
 	Parallelism int
 
 	// DisableWhatIfCache turns off the what-if estimate cache on every
-	// engine the lab loads (the -whatif-cache=off escape hatch). Set it
-	// before the first workload runs.
+	// engine the lab loads (the uncached reference path whatifbench and
+	// the cache-identity tests compare against). Set it before the first
+	// workload runs.
 	DisableWhatIfCache bool
 
 	mu        sync.Mutex
@@ -121,15 +122,9 @@ func profileOf(sys string) engine.Profile {
 }
 
 func recConfigOf(sys string) recommender.Config {
-	switch sys {
-	case "A":
-		return recommender.SystemA()
-	case "B":
-		return recommender.SystemB()
-	case "C":
-		return recommender.SystemC()
-	}
-	panic("bench: unknown system " + sys)
+	cfg, err := recommender.ConfigOf(sys)
+	must(err)
+	return cfg
 }
 
 // Engine returns the loaded engine for a (system, database) pair, with

@@ -100,17 +100,40 @@ func (c Model) WithScale(scale float64) Model {
 // conflint:pure — pricing a meter must not touch the meter: every
 // estimate path (what-if sessions included) prices concurrently.
 func (c Model) Seconds(m *Meter) float64 {
-	s := c.Scale
-	if s == 0 {
-		s = 1
-	}
-	return s*(float64(m.SeqPages)*c.SeqPageSec+
+	return c.scale()*(float64(m.SeqPages)*c.SeqPageSec+
 		float64(m.RandPages)*c.RandPageSec+
 		float64(m.WritePage)*c.WritePageSec+
 		float64(m.Rows)*c.RowSec+
 		float64(m.CPUOps)*c.CPUOpSec) +
 		float64(m.FixedRand)*c.RandPageSec +
 		float64(m.FixedSeq)*c.SeqPageSec
+}
+
+// scale is the counter multiplier, with Scale 0 read as 1.
+//
+// conflint:pure — arithmetic on the model.
+func (c Model) scale() float64 {
+	if c.Scale == 0 {
+		return 1
+	}
+	return c.Scale
+}
+
+// Spill is the one spill rule, shared by the optimizer's estimates and
+// the executor's actuals so that E(q,C) and A(q,C) differ only by
+// cardinality. A hash table of buildBytes (counted at the data's scale)
+// spills when its full-scale size, buildBytes times the model's scale,
+// exceeds mem, the full-scale memory budget. A spill writes the table
+// and the rows streamed against it (streamBytes; 0 when nothing streams)
+// to disk once and reads them back once, billed to m as written and
+// sequentially read pages.
+func (c Model) Spill(m *Meter, mem, buildBytes, streamBytes int64) {
+	if float64(buildBytes)*c.scale() <= float64(mem) {
+		return
+	}
+	pg := PagesForBytes(buildBytes) + PagesForBytes(streamBytes)
+	m.WritePage += pg
+	m.SeqPages += pg
 }
 
 // PageSize is the logical page size, in bytes, used by the storage layer,

@@ -62,9 +62,10 @@ type Engine struct {
 	Model       cost.Model
 
 	// DisableWhatIfCache turns off the what-if relevance-keyed estimate
-	// cache for sessions opened after it is set (the -whatif-cache=off
-	// escape hatch). Like Model, it is not lock-guarded: set it right
-	// after construction, before the engine is shared.
+	// cache for sessions opened after it is set (the uncached reference
+	// path the cache-identity tests and whatifbench compare against).
+	// Like Model, it is not lock-guarded: set it right after
+	// construction, before the engine is shared.
 	DisableWhatIfCache bool
 
 	heaps      map[string]*storage.Heap

@@ -211,8 +211,9 @@ func (w *WhatIf) EstimateWith(q *sql.Query, base, delta conf.Configuration) (Mea
 	return w.estimate(q, base.Views, base.Indexes, delta.Views, delta.Indexes)
 }
 
-// estimateUncached is the pre-cache code path, kept verbatim behind the
-// -whatif-cache=off escape hatch so regressions can be bisected.
+// estimateUncached is the pre-cache code path, kept verbatim behind
+// Engine.DisableWhatIfCache: the reference the cache-identity tests and
+// whatifbench compare the cached path against.
 func (w *WhatIf) estimateUncached(q *sql.Query, hypo conf.Configuration) (Measure, error) {
 	phys, err := w.physical(hypo)
 	if err != nil {

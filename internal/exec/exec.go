@@ -10,6 +10,11 @@
 // Execution is push-based: each operator drives rows into a callback.
 // A simulated-time limit (the paper's 30-minute timeout) aborts execution
 // with ErrTimeout.
+//
+// Unsharded execution is the one-partition case of partition-parallel
+// execution: Run is RunPartial followed by the finisher MergePartials
+// also ends in, so there is one group accumulator, one result sort and,
+// through cost.Model.Spill, one spill rule for estimates and actuals.
 package exec
 
 import (
@@ -93,23 +98,46 @@ type executor struct {
 	sets []*inSet
 }
 
-// Run executes the plan and returns its result.
+// Run executes the plan and returns its result: the plan's one partition
+// run by RunPartial, finished as MergePartials finishes a merge. Run bills
+// no merge work.
 func Run(p *plan.Plan, ctx *Ctx) (*Result, error) {
-	e := &executor{ctx: ctx, p: p}
-	if err := e.buildSets(); err != nil {
+	part, err := RunPartial(p, ctx)
+	if err != nil {
 		return nil, err
 	}
-	var raw []val.Row
-	if err := e.runNode(p.Root, func(r val.Row) error {
-		raw = append(raw, r)
-		return nil
-	}); err != nil {
-		return nil, err
+	return finish(p, part), nil
+}
+
+// finish is the one result finisher. It maps a partial's group states
+// (aggregate plans) or operator rows (every other plan) to the query's
+// select list, then sorts by the ORDER BY keys with the canonical row
+// order as the deterministic tiebreak. The partial is only read.
+func finish(p *plan.Plan, part *Partial) *Result {
+	q := p.Query
+	res := &Result{}
+	for _, o := range q.Out {
+		res.Cols = append(res.Cols, o.Name)
 	}
-	res := e.assemble(raw)
-	// ORDER BY keys first (when present), then the canonical row order as
-	// a deterministic tiebreak.
-	specs := p.Query.OrderBy
+	if part.agg {
+		// Group order is map order: the sort below decides the output.
+		aggs := p.Root.(*plan.HashAgg).Aggs
+		res.Rows = make([]val.Row, 0, len(part.groups))
+		for _, st := range part.groups {
+			out := make(val.Row, len(q.Out))
+			for i, o := range q.Out {
+				if o.Kind == sql.OutGroup {
+					out[i] = st.groupVals[o.Index]
+				} else {
+					out[i] = finishAgg(aggs[o.Index].Kind, st, o.Index)
+				}
+			}
+			res.Rows = append(res.Rows, out)
+		}
+	} else {
+		res.Rows = part.rows
+	}
+	specs := q.OrderBy
 	sort.Slice(res.Rows, func(i, j int) bool {
 		a, b := res.Rows[i], res.Rows[j]
 		for _, o := range specs {
@@ -123,34 +151,6 @@ func Run(p *plan.Plan, ctx *Ctx) (*Result, error) {
 		}
 		return val.CompareRows(a, b) < 0
 	})
-	return res, nil
-}
-
-// assemble reorders operator output into the query's select-list order.
-func (e *executor) assemble(raw []val.Row) *Result {
-	q := e.p.Query
-	res := &Result{}
-	for _, o := range q.Out {
-		res.Cols = append(res.Cols, o.Name)
-	}
-	switch e.p.Root.(type) {
-	case *plan.HashAgg:
-		// HashAgg emits [group values..., agg values...].
-		ng := len(q.GroupBy)
-		for _, r := range raw {
-			out := make(val.Row, len(q.Out))
-			for i, o := range q.Out {
-				if o.Kind == sql.OutGroup {
-					out[i] = r[o.Index]
-				} else {
-					out[i] = r[ng+o.Index]
-				}
-			}
-			res.Rows = append(res.Rows, out)
-		}
-	default:
-		res.Rows = raw
-	}
 	return res
 }
 
@@ -286,12 +286,7 @@ func (e *executor) computeInSet(is *plan.InSetPlan) (*inSet, error) {
 		return nil, scanErr
 	}
 	// Spill accounting for the aggregation hash table.
-	bytes := int64(len(counts)) * 24
-	if float64(bytes)*scaleOf(e.ctx.Model) > float64(memOf(e)) {
-		pg := cost.PagesForBytes(bytes)
-		e.ctx.Meter.WritePage += pg
-		e.ctx.Meter.SeqPages += pg
-	}
+	e.ctx.Model.Spill(&e.ctx.Meter, memOf(e), int64(len(counts))*24, 0)
 	for _, c := range counts {
 		if p.Having == nil || cmpHaving(c.n, p.Having) {
 			add(c.v)
@@ -318,13 +313,6 @@ func cmpHaving(n int64, h *sql.Having) bool {
 		return n >= h.Value
 	}
 	return false
-}
-
-func scaleOf(m cost.Model) float64 {
-	if m.Scale == 0 {
-		return 1
-	}
-	return m.Scale
 }
 
 // memOf returns the full-scale memory budget the plan was costed under;

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/btree"
-	"repro/internal/cost"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -27,8 +26,6 @@ func (e *executor) runNode(n plan.Node, out func(val.Row) error) error {
 		return e.runIndexJoin(n, out)
 	case *plan.MergeJoin:
 		return e.runMergeJoin(n, out)
-	case *plan.HashAgg:
-		return e.runHashAgg(n, out)
 	case *plan.Project:
 		return e.runProject(n, out)
 	}
@@ -50,8 +47,6 @@ func tabsOf(n plan.Node) []int {
 		return append(tabsOf(n.Outer), n.Tab)
 	case *plan.MergeJoin:
 		return []int{n.L.Tab, n.R.Tab}
-	case *plan.HashAgg:
-		return tabsOf(n.Input)
 	case *plan.Project:
 		return tabsOf(n.Input)
 	}
@@ -355,14 +350,8 @@ func (e *executor) runHashJoin(n *plan.HashJoin, out func(val.Row) error) error 
 		return err
 	}
 
-	// Spill accounting, mirroring the optimizer's rule with actual counts.
-	buildBytes := buildRows * int64(n.BuildWidth)
-	if float64(buildBytes)*scaleOf(e.ctx.Model) > float64(memOf(e)) {
-		probeBytes := probeRows * int64(n.BuildWidth)
-		pg := cost.PagesForBytes(buildBytes) + cost.PagesForBytes(probeBytes)
-		e.ctx.Meter.WritePage += pg
-		e.ctx.Meter.SeqPages += pg
-	}
+	// Spill accounting: the optimizer's rule over actual counts.
+	e.ctx.Model.Spill(&e.ctx.Meter, memOf(e), buildRows*int64(n.BuildWidth), probeRows*int64(n.BuildWidth))
 	return nil
 }
 
@@ -464,81 +453,6 @@ type aggState struct {
 	mins      []val.Value
 	maxs      []val.Value
 	distinct  []map[string]bool
-}
-
-func (e *executor) runHashAgg(n *plan.HashAgg, out func(val.Row) error) error {
-	groups := make(map[string]*aggState)
-	var inRows int64
-	err := e.runNode(n.Input, func(r val.Row) error {
-		e.ctx.Meter.CPUOps++
-		inRows++
-		if err := e.ctx.check(); err != nil {
-			return err
-		}
-		gv := r.Project(n.Groups)
-		k := gv.Key()
-		st := groups[k]
-		if st == nil {
-			st = &aggState{
-				groupVals: gv,
-				counts:    make([]int64, len(n.Aggs)),
-				sums:      make([]float64, len(n.Aggs)),
-				mins:      make([]val.Value, len(n.Aggs)),
-				maxs:      make([]val.Value, len(n.Aggs)),
-				distinct:  make([]map[string]bool, len(n.Aggs)),
-			}
-			groups[k] = st
-		}
-		for i, a := range n.Aggs {
-			if a.Kind == sql.AggCountStar {
-				st.counts[i]++
-				continue
-			}
-			v := r[a.Offset]
-			if v.IsNull() {
-				continue
-			}
-			st.counts[i]++
-			st.sums[i] += v.AsFloat()
-			if st.counts[i] == 1 || val.Compare(v, st.mins[i]) < 0 {
-				st.mins[i] = v
-			}
-			if st.counts[i] == 1 || val.Compare(v, st.maxs[i]) > 0 {
-				st.maxs[i] = v
-			}
-			if a.Kind == sql.AggCountDistinct {
-				if st.distinct[i] == nil {
-					st.distinct[i] = make(map[string]bool)
-				}
-				st.distinct[i][val.Row{v}.Key()] = true
-				e.ctx.Meter.CPUOps++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Spill accounting.
-	bytes := int64(len(groups)) * int64(n.GroupWidth)
-	if n.GroupWidth > 0 && float64(bytes)*scaleOf(e.ctx.Model) > float64(memOf(e)) {
-		pg := cost.PagesForBytes(bytes)
-		e.ctx.Meter.WritePage += pg
-		e.ctx.Meter.SeqPages += pg
-	}
-
-	for _, st := range groups {
-		rowOut := make(val.Row, len(n.Groups)+len(n.Aggs))
-		copy(rowOut, st.groupVals)
-		for i, a := range n.Aggs {
-			rowOut[len(n.Groups)+i] = finishAgg(a.Kind, st, i)
-		}
-		if err := out(rowOut); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // finishAgg produces the final value of aggregate i for a group.

@@ -1,15 +1,18 @@
-// Partition-parallel execution support: a plan can be executed against a
-// data partition producing a mergeable Partial instead of a final Result,
-// and Partials from every partition merge deterministically into exactly
-// the Result the unpartitioned execution would produce.
+// Partition-parallel execution: a plan runs against a data partition to
+// produce a mergeable Partial instead of a final Result, and Partials from
+// every partition merge deterministically into exactly the Result the
+// unpartitioned execution produces. Unpartitioned execution is the
+// one-partition case: Run is RunPartial plus the same finisher
+// MergePartials ends in, so the group accumulator (accumulateAgg) and the
+// result sort (finish) each exist once.
 //
 // The contract that makes merged results byte-identical at any partition
 // count:
 //
 //   - non-aggregate queries concatenate partition rows in partition-index
-//     order and re-sort with Run's exact comparator (ORDER BY keys, then
-//     the canonical row order) — a total order, so the multiset of rows
-//     determines the bytes;
+//     order and re-sort with the one finisher's comparator (ORDER BY keys,
+//     then the canonical row order) — a total order, so the multiset of
+//     rows determines the bytes;
 //   - aggregate queries merge per-group states: counts add exactly
 //     (int64), MIN/MAX merge through val.Compare (order-insensitive),
 //     COUNT(DISTINCT) unions key sets, and SUM/AVG add float partial sums
@@ -22,13 +25,10 @@
 // Partition executions bill their own meters; the merge bills its row and
 // group work to the merge context. The caller (internal/shard) combines
 // them into the sharded cost: set computation + max over partitions +
-// merge.
+// merge. Run bills its one partition and no merge.
 package exec
 
 import (
-	"sort"
-
-	"repro/internal/cost"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/val"
@@ -47,9 +47,8 @@ type Partial struct {
 // mergeable partial result. For aggregate plans (HashAgg root) the
 // aggregation state is kept open — counts, partial sums, min/max and
 // distinct-value sets per group — so partitions of a group combine
-// exactly. For every other plan shape the partition's finished rows are
-// returned for concatenation. Billing (including hash-table spill
-// accounting over this partition's group count) mirrors Run.
+// exactly. For every other plan shape the partition's rows are returned
+// for concatenation.
 func RunPartial(p *plan.Plan, ctx *Ctx) (*Partial, error) {
 	e := &executor{ctx: ctx, p: p}
 	if err := e.buildSets(); err != nil {
@@ -74,9 +73,9 @@ func RunPartial(p *plan.Plan, ctx *Ctx) (*Partial, error) {
 	return &Partial{agg: true, groups: groups}, nil
 }
 
-// accumulateAgg runs the aggregate's input and accumulates group states
-// without finishing them — the open-state half of runHashAgg, billed the
-// same way.
+// accumulateAgg is the one group accumulator: it runs the aggregate's
+// input and folds every row into its group's open state. The optimizer
+// only puts a HashAgg at the plan root, so RunPartial is its one caller.
 func (e *executor) accumulateAgg(n *plan.HashAgg) (map[string]*aggState, error) {
 	groups := make(map[string]*aggState)
 	err := e.runNode(n.Input, func(r val.Row) error {
@@ -127,13 +126,6 @@ func (e *executor) accumulateAgg(n *plan.HashAgg) (map[string]*aggState, error) 
 	})
 	if err != nil {
 		return nil, err
-	}
-	// Spill accounting over this partition's group count, as in runHashAgg.
-	bytes := int64(len(groups)) * int64(n.GroupWidth)
-	if n.GroupWidth > 0 && float64(bytes)*scaleOf(e.ctx.Model) > float64(memOf(e)) {
-		pg := cost.PagesForBytes(bytes)
-		e.ctx.Meter.WritePage += pg
-		e.ctx.Meter.SeqPages += pg
 	}
 	return groups, nil
 }
@@ -195,9 +187,9 @@ func mergeAggState(dst, src *aggState) {
 
 // MergePartials reduces the partitions' partial results — in
 // partition-index order — into the final Result for the plan, billing the
-// merge's row and group work to ctx. The plan must be the one the
-// partials were produced from (any partition's plan, or the
-// coordinator's: only the Query output mapping and root shape are
+// merge's row and group work to ctx, and finishes it as Run does. The plan
+// must be the one the partials were produced from (any partition's plan,
+// or the coordinator's: only the Query output mapping and root shape are
 // consulted). Nil partials are rejected by construction: callers must
 // pass one partial per partition. The partials themselves are read-only
 // inputs: fold states are cloned before the first in-place merge (lazily
@@ -211,11 +203,6 @@ func mergeAggState(dst, src *aggState) {
 // exception: a merge prices its own work like every operator.
 func MergePartials(p *plan.Plan, parts []*Partial, ctx *Ctx) (*Result, error) {
 	e := &executor{ctx: ctx, p: p}
-	total := 0
-	for _, part := range parts {
-		total += len(part.rows) + len(part.groups)
-	}
-	raw := make([]val.Row, 0, total)
 	if _, isAgg := p.Root.(*plan.HashAgg); isAgg {
 		// Fold every partition's states group-by-group. A group's first
 		// occurrence (lowest partition index) is the fold seed, and later
@@ -223,14 +210,12 @@ func MergePartials(p *plan.Plan, parts []*Partial, ctx *Ctx) (*Result, error) {
 		// deterministic regardless of map iteration order.
 		merged := make(map[string]*aggState)
 		cloned := make(map[string]bool)
-		keys := make([]string, 0, 64)
 		for _, part := range parts {
 			for k, st := range part.groups {
 				e.ctx.Meter.CPUOps++
 				cur := merged[k]
 				if cur == nil {
 					merged[k] = st
-					keys = append(keys, k)
 					continue
 				}
 				if !cloned[k] {
@@ -244,43 +229,19 @@ func MergePartials(p *plan.Plan, parts []*Partial, ctx *Ctx) (*Result, error) {
 				return nil, err
 			}
 		}
-		sort.Strings(keys) // deterministic finish order (cosmetic: the final sort below decides output order)
-		agg := p.Root.(*plan.HashAgg)
-		for _, k := range keys {
-			st := merged[k]
-			rowOut := make(val.Row, len(agg.Groups)+len(agg.Aggs))
-			copy(rowOut, st.groupVals)
-			for i, a := range agg.Aggs {
-				rowOut[len(agg.Groups)+i] = finishAgg(a.Kind, st, i)
-			}
-			raw = append(raw, rowOut)
-		}
-	} else {
-		for _, part := range parts {
-			e.ctx.Meter.CPUOps += int64(len(part.rows))
-			raw = append(raw, part.rows...)
-			if err := e.ctx.check(); err != nil {
-				return nil, err
-			}
+		return finish(p, &Partial{agg: true, groups: merged}), nil
+	}
+	total := 0
+	for _, part := range parts {
+		total += len(part.rows)
+	}
+	raw := make([]val.Row, 0, total)
+	for _, part := range parts {
+		e.ctx.Meter.CPUOps += int64(len(part.rows))
+		raw = append(raw, part.rows...)
+		if err := e.ctx.check(); err != nil {
+			return nil, err
 		}
 	}
-
-	res := e.assemble(raw)
-	// Identical final ordering to Run: ORDER BY keys, then the canonical
-	// row order as the deterministic tiebreak.
-	specs := p.Query.OrderBy
-	sort.Slice(res.Rows, func(i, j int) bool {
-		a, b := res.Rows[i], res.Rows[j]
-		for _, o := range specs {
-			c := val.Compare(a[o.OutIdx], b[o.OutIdx])
-			if o.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return val.CompareRows(a, b) < 0
-	})
-	return res, nil
+	return finish(p, &Partial{rows: raw}), nil
 }

@@ -391,7 +391,6 @@ func (s *search) hashJoinCand(c1, c2 cand, m1, m2 uint32, lcols, rcols []sql.QCo
 		bMask, pMask = m2, m1
 		bKeys, pKeys = rcols, lcols
 	}
-	_ = pMask
 	buildOffsets := make([]int, len(bKeys))
 	probeOffsets := make([]int, len(pKeys))
 	for i := range bKeys {
@@ -407,14 +406,9 @@ func (s *search) hashJoinCand(c1, c2 cand, m1, m2 uint32, lcols, rcols []sql.QCo
 	if len(bKeys) == 0 {
 		est.Meter.CPUOps += ceilI(rowsOut) // nested cross product work
 	}
-	buildBytes := int64(build.est.Rows) * int64(width)
-	if float64(buildBytes)*s.scale() > float64(s.phys.Mem) {
-		// GRACE-style spill: both sides partitioned to disk and re-read.
-		probeBytes := int64(probe.est.Rows) * int64(s.rowWidthOf(pMask))
-		pg := pagesFor(buildBytes) + pagesFor(probeBytes)
-		est.Meter.WritePage += pg
-		est.Meter.SeqPages += pg
-	}
+	// GRACE-style spill: both sides partitioned to disk and re-read.
+	s.phys.Model.Spill(&est.Meter, s.phys.Mem,
+		int64(build.est.Rows)*int64(width), int64(probe.est.Rows)*int64(s.rowWidthOf(pMask)))
 	est.Seconds = s.phys.Model.Seconds(&est.Meter)
 
 	node := &plan.HashJoin{

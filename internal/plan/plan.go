@@ -292,13 +292,12 @@ type AggSpec struct {
 }
 
 // HashAgg groups rows by the given flat offsets and computes aggregates.
-// GroupWidth is the modeled per-group byte width for the spill decision.
+// The optimizer puts it only at a plan's root.
 type HashAgg struct {
-	Input      Node
-	Groups     []int
-	Aggs       []AggSpec
-	GroupWidth int
-	Est        Est
+	Input  Node
+	Groups []int
+	Aggs   []AggSpec
+	Est    Est
 }
 
 // Project maps flat-row offsets to output columns (plain SPJ queries).

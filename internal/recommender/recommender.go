@@ -89,6 +89,19 @@ func SystemC() Config {
 	}
 }
 
+// ConfigOf maps a system name to its recommender profile.
+func ConfigOf(system string) (Config, error) {
+	switch system {
+	case "A":
+		return SystemA(), nil
+	case "B":
+		return SystemB(), nil
+	case "C":
+		return SystemC(), nil
+	}
+	return Config{}, fmt.Errorf("unknown recommender %q", system)
+}
+
 // candidate is one atomic configuration change: a set of indexes, possibly
 // bundled with the materialized view they are defined on.
 type candidate struct {

@@ -334,14 +334,6 @@ func (c *Cluster) RunAnalyzed(q *sql.Query, limitSeconds float64) (*exec.Result,
 	// tables, so HAVING COUNT(*) predicates see global counts.
 	insetCtx := &exec.Ctx{Model: c.coord.Model, LimitSeconds: limitSeconds}
 	preset, err := exec.ComputeInSets(coordPlan, insetCtx)
-	if err != nil {
-		if err == exec.ErrTimeout {
-			m := engine.Measure{SQL: sqlText, Seconds: limitSeconds, TimedOut: true, Meter: insetCtx.Meter}
-			c.note(m, 0, 0, false, false)
-			return nil, m, nil
-		}
-		return nil, engine.Measure{}, err
-	}
 
 	// Phase 2 (parallel): each partition plans against a hybrid physical
 	// — native ordinals bound to the partition's tables and indexes,
@@ -350,50 +342,53 @@ func (c *Cluster) RunAnalyzed(q *sql.Query, limitSeconds float64) (*exec.Result,
 	// billed into the shard's meter up front as a fixed function of
 	// coordinator statistics, so simulated seconds stay pool-invariant.
 	// Indexed fan-out; errors resolve to the lowest index.
-	shardOpts := opts
-	shardOpts.NoViews = true
 	partials := make([]*exec.Partial, len(top.shards))
 	meters := make([]exec.Ctx, len(top.shards))
-	runner := core.Runner{Parallelism: pool}
-	err = runner.Each(len(top.shards), func(i int) error {
-		hybrid, herr := top.shardPhysical(coordPhys, q, placements, i)
-		if herr != nil {
-			return herr
-		}
-		p, perr := optimizer.Optimize(hybrid, q, shardOpts)
-		if perr != nil {
-			return perr
-		}
-		ctx := &exec.Ctx{Model: c.coord.Model, LimitSeconds: limitSeconds, Preset: preset}
-		for _, k := range exchanged {
-			billExchange(&ctx.Meter, coordPhys.Table(k.table), nShards)
-		}
-		part, rerr := exec.RunPartial(p, ctx)
-		meters[i] = *ctx
-		if rerr != nil {
-			return rerr
-		}
-		partials[i] = part
-		return nil
-	})
-	if err != nil {
-		if err == exec.ErrTimeout {
-			m := timeoutMeasure(sqlText, limitSeconds, insetCtx, meters)
-			c.note(m, 0, 0, false, false)
-			return nil, m, nil
-		}
-		return nil, engine.Measure{}, err
+	if err == nil {
+		shardOpts := opts
+		shardOpts.NoViews = true
+		runner := core.Runner{Parallelism: pool}
+		err = runner.Each(len(top.shards), func(i int) error {
+			hybrid, herr := top.shardPhysical(coordPhys, q, placements, i)
+			if herr != nil {
+				return herr
+			}
+			p, perr := optimizer.Optimize(hybrid, q, shardOpts)
+			if perr != nil {
+				return perr
+			}
+			ctx := &exec.Ctx{Model: c.coord.Model, LimitSeconds: limitSeconds, Preset: preset}
+			for _, k := range exchanged {
+				billExchange(&ctx.Meter, coordPhys.Table(k.table), nShards)
+			}
+			part, rerr := exec.RunPartial(p, ctx)
+			meters[i] = *ctx
+			if rerr != nil {
+				return rerr
+			}
+			partials[i] = part
+			return nil
+		})
 	}
 
 	// Phase 3 (serial): ordered reduction, billed to its own meter.
 	mergeCtx := &exec.Ctx{Model: c.coord.Model, LimitSeconds: limitSeconds}
-	res, err := exec.MergePartials(coordPlan, partials, mergeCtx)
-	if err != nil {
-		if err == exec.ErrTimeout {
-			m := timeoutMeasure(sqlText, limitSeconds, insetCtx, meters)
-			c.note(m, 0, 0, false, false)
-			return nil, m, nil
+	var res *exec.Result
+	if err == nil {
+		res, err = exec.MergePartials(coordPlan, partials, mergeCtx)
+	}
+	if err == exec.ErrTimeout {
+		// A hard timeout in any phase: no result, billed at the limit,
+		// the set and partition meters summed for observability.
+		total := insetCtx.Meter
+		for i := range meters {
+			total.Add(meters[i].Meter)
 		}
+		m := engine.Measure{SQL: sqlText, Seconds: limitSeconds, TimedOut: true, Meter: total}
+		c.note(m, 0, 0, false, false)
+		return nil, m, nil
+	}
+	if err != nil {
 		return nil, engine.Measure{}, err
 	}
 
@@ -432,17 +427,6 @@ func (c *Cluster) note(m engine.Measure, parallelWork, serialSeconds float64, fa
 	}
 	c.st.SerialSeconds += serialSeconds
 	c.st.ParallelWork += parallelWork
-}
-
-// timeoutMeasure assembles the measure for a hard partition/merge
-// timeout: no result, billed at the limit, meters summed for
-// observability.
-func timeoutMeasure(sqlText string, limit float64, insetCtx *exec.Ctx, meters []exec.Ctx) engine.Measure {
-	total := insetCtx.Meter
-	for i := range meters {
-		total.Add(meters[i].Meter)
-	}
-	return engine.Measure{SQL: sqlText, Seconds: limit, TimedOut: true, Meter: total}
 }
 
 // PredictSeconds is the autoscaler's Amdahl model: mean per-query cost
